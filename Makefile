@@ -8,7 +8,7 @@ GO ?= go
 
 .PHONY: ci vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench bench-fleet bench-pshard bench-json bench-transport bench-autoscale bench-obs fmt serve-smoke
 
-ci: vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench-fleet bench-pshard bench-transport bench-autoscale bench-obs serve-smoke
+ci: fmt vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench-fleet bench-pshard bench-transport bench-autoscale bench-obs serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -24,10 +24,12 @@ race:
 
 # Exercise the force-group pipeline (background covariance drains
 # overlapping forward/backward and ring collectives) under the race
-# detector, with the pipeline forced on regardless of the environment.
+# detector, with the pipeline forced on regardless of the environment —
+# the one funnel schedule over both covariance backends, dense and
+# row-sharded.
 race-pipeline:
-	FEKF_PIPELINE=1 $(GO) test -race -timeout 45m -run 'Pipelin|Golden|UpdateSplit' \
-		./internal/optimize ./internal/cluster ./internal/train
+	FEKF_PIPELINE=1 $(GO) test -race -timeout 45m -run 'Pipelin|Golden|UpdateSplit|FunnelStep' \
+		./internal/optimize ./internal/cluster ./internal/pshard ./internal/train
 
 # The online-learning subsystem is concurrency all the way down: HTTP
 # producers against the ingest queue, the trainer loop against snapshot
@@ -164,5 +166,7 @@ bench-obs:
 	$(GO) test ./internal/online -run '^$$' -bench TrainStep -benchtime 1x
 	$(GO) test ./internal/online -run InstrumentationOverheadBudget -count=1 -v
 
+# Fail when any Go source in the repository is not gofmt-clean.
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l *.go cmd examples internal perfbench); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi

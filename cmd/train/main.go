@@ -167,8 +167,9 @@ func runDistributed(m *deepmd.Model, trainSet, testSet *dataset.Dataset, bs, gpu
 		iters = 1
 	}
 	converged := false
-	epoch := 0
-	for epoch = 1; epoch <= epochs; epoch++ {
+	ran := 0
+	for epoch := 1; epoch <= epochs; epoch++ {
+		ran = epoch
 		for i := 0; i < iters; i++ {
 			if _, err := dp.Step(trainSet, trainSet.SampleBatch(bs, rng)); err != nil {
 				log.Fatalf("train: %v", err)
@@ -187,7 +188,7 @@ func runDistributed(m *deepmd.Model, trainSet, testSet *dataset.Dataset, bs, gpu
 	}
 	fmt.Printf("wire traffic: %.2f MB, modeled device+comm time: %.3fs, replica drift: %g\n",
 		float64(dp.Ring().WireBytes())/(1<<20), dp.ModeledIterationNs()/1e9, dp.ReplicaDrift())
-	finish(dp.Model(), testSet, epoch, converged, time.Since(start))
+	finish(dp.Model(), testSet, ran, converged, time.Since(start))
 }
 
 func finish(m *deepmd.Model, testSet *dataset.Dataset, epochs int, converged bool, wall time.Duration) {

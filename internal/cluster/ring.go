@@ -18,6 +18,8 @@ package cluster
 import (
 	"fmt"
 	"sync/atomic"
+
+	"fekf/internal/optimize"
 )
 
 // Interconnect models the cluster fabric.
@@ -228,6 +230,17 @@ func (r *Ring) Allreduce(rank int, data []float64) error {
 	}
 	return nil
 }
+
+// Reducer returns rank's view of the ring as the funnel schedule's
+// in-place allreduce.
+func (r *Ring) Reducer(rank int) optimize.Reducer { return rankReducer{r, rank} }
+
+type rankReducer struct {
+	ring *Ring
+	rank int
+}
+
+func (rr rankReducer) Allreduce(data []float64) error { return rr.ring.Allreduce(rr.rank, data) }
 
 // AllreduceScalars sums a small fixed set of scalars across ranks (the ABE
 // and sample-count exchange, the O(#GPUs) term of the paper's

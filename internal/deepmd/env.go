@@ -1,7 +1,9 @@
 package deepmd
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"fekf/internal/dataset"
@@ -36,8 +38,44 @@ type Env struct {
 // NumAtoms returns the total atom count B·Na.
 func (e *Env) NumAtoms() int { return e.B * e.NaPer }
 
+// ErrBadGeometry marks a frame whose geometry BuildEnv refuses; see
+// CheckGeometry.
+var ErrBadGeometry = errors.New("deepmd: unusable frame geometry")
+
+// MaxImageLattice bounds the periodic-image lattice the neighbor scan may
+// walk for a frame: Π_d (2·⌈Rc/L_d⌉+1) images per atom pair.  9³ admits
+// every edge down to Rc/4; a condensed-phase cell is never near it, while
+// a hostile 0.01 Å box would otherwise walk ~10⁹ images.
+const MaxImageLattice = 9 * 9 * 9
+
+// CheckGeometry reports whether BuildEnv can build a frame's neighbor
+// lists under cfg's cutoff: every box edge finite and positive, every
+// position finite, and the periodic-image lattice within MaxImageLattice.
+// Errors wrap ErrBadGeometry.
+func CheckGeometry(cfg Config, box [3]float64, pos []float64) error {
+	lattice := 1.0
+	for d, l := range box {
+		if !(l > 0) || math.IsInf(l, 1) {
+			return fmt.Errorf("%w: box edge %d is %g", ErrBadGeometry, d, l)
+		}
+		lattice *= 2*math.Ceil(cfg.Rc/l) + 1
+	}
+	if lattice > MaxImageLattice {
+		return fmt.Errorf("%w: box %v needs %.3g periodic images at cutoff %g (limit %d)",
+			ErrBadGeometry, box, lattice, cfg.Rc, MaxImageLattice)
+	}
+	for i, x := range pos {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: coordinate %d is %g", ErrBadGeometry, i, x)
+		}
+	}
+	return nil
+}
+
 // BuildEnv constructs the environment input for a batch of systems, which
 // must share the species table and atom count (images of one dataset).
+// Each system must pass CheckGeometry; the check runs before any neighbor
+// scan, so a hostile cell costs O(atoms), never the image walk.
 func BuildEnv(cfg Config, systems []*md.System) (*Env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -52,6 +90,9 @@ func BuildEnv(cfg Config, systems []*md.System) (*Env, error) {
 		}
 		if len(s.Species) != cfg.NumSpecies {
 			return nil, fmt.Errorf("deepmd: image %d has %d species, config %d", k, len(s.Species), cfg.NumSpecies)
+		}
+		if err := CheckGeometry(cfg, s.Box, s.Pos); err != nil {
+			return nil, fmt.Errorf("image %d: %w", k, err)
 		}
 	}
 	b := len(systems)

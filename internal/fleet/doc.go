@@ -9,12 +9,15 @@
 // training step is a lockstep collective: each live replica samples a
 // private minibatch from its replay buffer, the per-replica gradients and
 // absolute-error sums are funnel-aggregated over the ring *before* the
-// Kalman update (cluster.RankStep), and every replica then applies the
-// identical reduced update to its local weights and P.  Because the
-// reduced buffers are bit-identical on every rank after the allgather,
-// all replicas hold bitwise-identical weights and error covariance with
-// zero P communication — the fleet invariant WeightDrift == PDrift == 0,
-// asserted after every step.
+// Kalman update, and every replica then applies the identical reduced
+// update to its local weights and P.  Both modes run one schedule,
+// optimize.FunnelStep, over different covariance backends: a full P
+// replica per rank (cluster.RankStep), or in PShard mode the rank's row
+// slabs of a sharded P plus one P·g exchange per measurement
+// (pshard.RankStep).  Because the reduced buffers are bit-identical on
+// every rank after the allgather, all replicas hold bitwise-identical
+// weights and error covariance — the fleet invariant WeightDrift ==
+// PDrift == 0, asserted after every step.
 //
 // Serving: a snapshot router load-balances predictions across the
 // replicas' copy-on-write model snapshots with health checks.  A killed

@@ -160,7 +160,10 @@ type Fleet struct {
 	cfg     Config
 	system  string
 	species []md.Species
-	naPer   atomic.Int64
+	// model is the replicas' model configuration, which ingest validates
+	// frames against (replica models are swapped on restore; this is not).
+	model deepmd.Config
+	naPer atomic.Int64
 
 	reps   []*replica
 	router *Router
@@ -258,6 +261,7 @@ func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config
 		cfg:     cfg,
 		system:  proto.System,
 		species: proto.Species,
+		model:   m.Cfg,
 		clock:   cfg.Clock,
 
 		ctl:      make(chan func()),
@@ -350,7 +354,7 @@ func (f *Fleet) liveIDs() []int {
 // and reports whether it was accepted (false without error means dropped
 // by queue policy).  Safe from any goroutine.
 func (f *Fleet) Ingest(s dataset.Snapshot) (bool, error) {
-	if err := online.ValidateFrame(&s, f.species, int(f.naPer.Load())); err != nil {
+	if err := online.ValidateFrame(&s, f.model, int(f.naPer.Load())); err != nil {
 		return false, err
 	}
 	f.naPer.CompareAndSwap(0, int64(s.NumAtoms()))
@@ -890,14 +894,7 @@ func (f *Fleet) step() {
 			return
 		}
 	}
-	ref := f.reps[live[0]].opt
-	params := cluster.StepParams{
-		Scale:       ref.Factor.Apply(total),
-		EnergyDiv:   ref.EnergyDiv.Value(na),
-		ForceDiv:    ref.ForceDiv.Value(na),
-		ForceGroups: ref.ForceGroups,
-		Pipeline:    ref.Pipeline,
-	}
+	params := f.reps[live[0]].opt.Params(total, na)
 	if rec != nil {
 		params.Spans = rec
 	}

@@ -122,7 +122,10 @@ type Trainer struct {
 	stepper train.Stepper
 	system  string
 	species []md.Species
-	naPer   atomic.Int64 // per-frame atom count, fixed by the first frame
+	// modelCfg is the model configuration frames are validated against;
+	// unlike model, which a rollback swaps, it is safe to read from ingest.
+	modelCfg deepmd.Config
+	naPer    atomic.Int64 // per-frame atom count, fixed by the first frame
 
 	queue  *Queue
 	replay *ReplayBuffer
@@ -188,15 +191,16 @@ func NewTrainer(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg
 	}
 	cfg = cfg.withDefaults()
 	t := &Trainer{
-		cfg:     cfg,
-		model:   m,
-		opt:     opt,
-		stepper: train.OptStepper{M: m, Opt: opt},
-		system:  proto.System,
-		species: proto.Species,
-		queue:   NewQueue(cfg.QueueSize, cfg.QueuePolicy),
-		replay:  NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed),
-		gate:    NewGate(cfg.Gate),
+		cfg:      cfg,
+		model:    m,
+		opt:      opt,
+		stepper:  train.OptStepper{M: m, Opt: opt},
+		system:   proto.System,
+		species:  proto.Species,
+		modelCfg: m.Cfg,
+		queue:    NewQueue(cfg.QueueSize, cfg.QueuePolicy),
+		replay:   NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed),
+		gate:     NewGate(cfg.Gate),
 
 		ckReq:    make(chan chan error),
 		stop:     make(chan struct{}),
@@ -230,19 +234,22 @@ func (t *Trainer) System() string { return t.system }
 func (t *Trainer) NumAtoms() int { return int(t.naPer.Load()) }
 
 // Config returns the model configuration (for request validation).
-func (t *Trainer) Config() deepmd.Config { return t.model.Cfg }
+func (t *Trainer) Config() deepmd.Config { return t.modelCfg }
 
 // ValidateFrame checks a frame's structure against the trainer's system:
-// consistent atom count, coordinate/force lengths, species range and box.
+// consistent atom count, coordinate/force lengths, species range, finite
+// labels and a geometry the environment builder accepts.
 func (t *Trainer) ValidateFrame(s *dataset.Snapshot) error {
-	return ValidateFrame(s, t.species, int(t.naPer.Load()))
+	return ValidateFrame(s, t.modelCfg, int(t.naPer.Load()))
 }
 
-// ValidateFrame checks a streamed frame's structure against a species table
-// and an expected per-frame atom count (0 accepts any count — the first
-// frame then fixes it).  Shared by the single trainer and the fleet's
-// sharded ingest.
-func ValidateFrame(s *dataset.Snapshot, species []md.Species, wantAtoms int) error {
+// ValidateFrame checks a streamed frame's structure against a model
+// configuration and an expected per-frame atom count (0 accepts any count
+// — the first frame then fixes it).  Shared by the single trainer and the
+// fleet's sharded ingest.  The geometry check (deepmd.CheckGeometry) is
+// the one BuildEnv applies, so a frame accepted here never stalls gate
+// admission or a training step in the neighbor scan.
+func ValidateFrame(s *dataset.Snapshot, cfg deepmd.Config, wantAtoms int) error {
 	na := s.NumAtoms()
 	if na == 0 {
 		return fmt.Errorf("online: frame has no atoms")
@@ -257,14 +264,20 @@ func ValidateFrame(s *dataset.Snapshot, species []md.Species, wantAtoms int) err
 		return fmt.Errorf("online: frame has %d force components for %d atoms", len(s.Forces), na)
 	}
 	for i, ty := range s.Types {
-		if ty < 0 || ty >= len(species) {
-			return fmt.Errorf("online: atom %d has species %d, table holds %d", i, ty, len(species))
+		if ty < 0 || ty >= cfg.NumSpecies {
+			return fmt.Errorf("online: atom %d has species %d, table holds %d", i, ty, cfg.NumSpecies)
 		}
 	}
-	for d, b := range s.Box {
-		if !(b > 0) {
-			return fmt.Errorf("online: box dimension %d is %g", d, b)
+	for i, v := range s.Forces {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("online: force component %d is %g", i, v)
 		}
+	}
+	if math.IsNaN(s.Energy) || math.IsInf(s.Energy, 0) {
+		return fmt.Errorf("online: frame energy is %g", s.Energy)
+	}
+	if err := deepmd.CheckGeometry(cfg, s.Box, s.Pos); err != nil {
+		return fmt.Errorf("online: %w", err)
 	}
 	return nil
 }

@@ -143,13 +143,15 @@ func (f *FEKF) Checkpoint() *FEKFCheckpoint {
 // re-derived from m's layer sizes and validated against the checkpoint.
 func RestoreFEKF(ck *FEKFCheckpoint, m *deepmd.Model) (*FEKF, error) {
 	f := &FEKF{
-		KCfg:        ck.KCfg,
-		Factor:      ck.Factor,
-		ForceGroups: ck.ForceGroups,
-		EnergyDiv:   ck.EnergyDiv,
-		ForceDiv:    ck.ForceDiv,
-		Pipeline:    PipelineDefault(),
-		name:        ck.Name,
+		Settings: Settings{
+			KCfg:        ck.KCfg,
+			Factor:      ck.Factor,
+			ForceGroups: ck.ForceGroups,
+			EnergyDiv:   ck.EnergyDiv,
+			ForceDiv:    ck.ForceDiv,
+			Pipeline:    PipelineDefault(),
+		},
+		name: ck.Name,
 	}
 	if f.name == "" {
 		f.name = "FEKF"

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"errors"
 	"math"
 
 	"fekf/internal/dataset"
@@ -16,25 +17,7 @@ import (
 // RLEKF is recovered as the degenerate single-sample instance (batch size
 // 1, factor 1): construct it with NewRLEKF and drive it with bs=1.
 type FEKF struct {
-	KCfg KalmanConfig
-	// Factor is the quasi-learning-rate rule (√bs by default; Figure 4
-	// ablates 1 and bs).
-	Factor QuasiLRFactor
-	// ForceGroups is the number of sequential force measurement updates
-	// per iteration (paper: 4).
-	ForceGroups int
-	// EnergyDiv and ForceDiv divide the energy and force measurement
-	// errors fed to the filter, the trust-region damping knob of the
-	// reference implementation (which divides both by the atom count,
-	// matched to its 10k-70k-sample datasets).  The repo defaults —
-	// √Na for energy, 1 for force — reach the same optima in
-	// proportionally fewer updates at this reproduction's dataset sizes.
-	EnergyDiv, ForceDiv TrustDiv
-	// Pipeline overlaps each measurement's covariance drain with the next
-	// measurement's forward/backward (the two-stage force-group pipeline);
-	// results are bitwise identical to the serial order.  Defaults to
-	// PipelineDefault() (on unless FEKF_PIPELINE disables it).
-	Pipeline bool
+	Settings
 
 	name string
 	ks   *KalmanState
@@ -68,29 +51,15 @@ func (d TrustDiv) Value(na int) float64 {
 
 // NewFEKF returns the paper-default FEKF optimizer.
 func NewFEKF() *FEKF {
-	return &FEKF{
-		KCfg:        DefaultKalmanConfig(),
-		Factor:      FactorSqrtBS,
-		ForceGroups: 4,
-		EnergyDiv:   DivSqrtAtoms,
-		ForceDiv:    DivAtoms,
-		Pipeline:    PipelineDefault(),
-		name:        "FEKF",
-	}
+	return &FEKF{Settings: DefaultSettings(), name: "FEKF"}
 }
 
 // NewRLEKF returns the instance-by-instance RLEKF baseline: identical
 // update rule at batch size 1 with unit factor.  Drive it with bs=1.
 func NewRLEKF() *FEKF {
-	return &FEKF{
-		KCfg:        DefaultKalmanConfig(),
-		Factor:      FactorOne,
-		ForceGroups: 4,
-		EnergyDiv:   DivSqrtAtoms,
-		ForceDiv:    DivAtoms,
-		Pipeline:    PipelineDefault(),
-		name:        "RLEKF",
-	}
+	f := &FEKF{Settings: DefaultSettings(), name: "RLEKF"}
+	f.Factor = FactorOne
+	return f
 }
 
 // Name implements Optimizer.
@@ -123,60 +92,13 @@ func (f *FEKF) InitState(m *deepmd.Model) *KalmanState {
 	return f.ks
 }
 
-// Step implements Optimizer: one energy measurement update followed by
-// ForceGroups force measurement updates, all on batch-reduced gradients
-// and errors (the funnel dataflow of Figure 3(b)).
-//
-// With Pipeline on, each measurement update is split into its gain stage
-// (P·g, a, K, Δw — applied immediately, preserving the sequential
-// measurement semantics) and its covariance drain, which runs on a
-// background goroutine while the next group's backward — or, for the
-// energy update, the force forward pass — executes.  The hand-off is
-// explicit: the drain of group k must complete before group k+1's gain
-// stage reads P, and group k+1's backward starts only after group k's
-// weight increment has been applied, so the weight vector it
-// differentiates against is the post-update weight of group k.  The drain
-// touches only P and the gain scratch (disjoint from weights and graph),
-// so the pipelined step is bitwise identical to the serial one.
+// Step implements Optimizer: the funnel schedule (FunnelStep) on one
+// device, with the batch-reduced gradients and errors of Figure 3(b)
+// applied to the dense filter.
 func (f *FEKF) Step(m *deepmd.Model, ds *dataset.Dataset, idx []int) (StepInfo, error) {
-	if f.ks == nil {
-		f.ks = NewKalmanState(f.KCfg, m.Params.LayerSizes(), m.Dev)
+	if len(idx) == 0 {
+		return StepInfo{}, errors.New("optimize: FEKF step on an empty batch")
 	}
-	env, err := deepmd.BuildBatchEnv(m.Cfg, ds, idx)
-	if err != nil {
-		return StepInfo{}, err
-	}
-	lab := deepmd.BatchLabels(ds, idx)
-	scale := f.Factor.Apply(len(idx))
-	eDiv := f.EnergyDiv.Value(lab.NaPer)
-	fDiv := f.ForceDiv.Value(lab.NaPer)
-
-	// Energy update: reduce signs/errors over the batch, one backward for
-	// the reduced gradient (early reduction), one Kalman update.  Its P
-	// drain overlaps the force forward pass below.
-	out := m.Forward(env, false)
-	seedE, eABE := energyMeasurement(out, lab, eDiv)
-	gE := m.EnergyGrad(out, seedE)
-	deltaE, drainE := f.ks.UpdateSplit(gE, eABE, scale)
-	m.Params.AddFlat(deltaE)
-	wait := StartDrain(drainE, f.Pipeline)
-	out.Graph.Release()
-
-	// Force updates: one forward with the post-energy-update weights,
-	// then ForceGroups sequential measurement updates.  The group
-	// gradients come from this single graph (weights as of the forward),
-	// the standard approximation of the reference implementation.
-	out2 := m.Forward(env, true)
-	info := StepInfo{EnergyABE: eABE, ForceABE: meanAbsForceError(out2, lab)}
-	for grp := 0; grp < f.ForceGroups; grp++ {
-		seedF, fABE := forceMeasurement(out2, lab, grp, f.ForceGroups, fDiv)
-		gF := m.ForceGrad(out2, seedF)
-		wait()
-		deltaF, drainF := f.ks.UpdateSplit(gF, fABE, scale)
-		m.Params.AddFlat(deltaF)
-		wait = StartDrain(drainF, f.Pipeline)
-	}
-	wait()
-	out2.Graph.Release()
-	return info, nil
+	p := f.Params(len(idx), ds.Snapshots[idx[0]].NumAtoms())
+	return FunnelStep(LocalReducer{}, 0, m, f.InitState(m), p, ds, idx, nil)
 }

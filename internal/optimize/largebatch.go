@@ -145,9 +145,9 @@ func lossGradient(m *deepmd.Model, ds *dataset.Dataset, idx []int, w deepmd.Loss
 	out := m.Forward(env, true)
 	loss := deepmd.LossGraph(out, lab, w)
 	grad := m.LossGrad(out, loss)
-	_, eabe := energyMeasurement(out, lab, float64(lab.NaPer))
+	_, sumE := EnergySeed(out, lab)
 	info := StepInfo{
-		EnergyABE: eabe,
+		EnergyABE: sumE / (float64(out.Energies.Rows()) * float64(lab.NaPer)),
 		ForceABE:  meanAbsForceError(out, lab),
 		Loss:      loss.Scalar(),
 	}

@@ -65,7 +65,8 @@ func (nv *NaiveEKF) Step(m *deepmd.Model, ds *dataset.Dataset, idx []int) (StepI
 		fDiv := nv.ForceDiv.Value(lab.NaPer)
 
 		out := m.Forward(env, false)
-		seedE, eABE := energyMeasurement(out, lab, eDiv)
+		seedE, sumE := EnergySeed(out, lab)
+		eABE := sumE / (float64(out.Energies.Rows()) * eDiv)
 		gE := m.EnergyGrad(out, seedE)
 		accumulate(sum, ks.Update(gE, eABE, 1))
 		out.Graph.Release()
@@ -74,9 +75,12 @@ func (nv *NaiveEKF) Step(m *deepmd.Model, ds *dataset.Dataset, idx []int) (StepI
 		info.EnergyABE += eABE
 		info.ForceABE += meanAbsForceError(out2, lab)
 		for grp := 0; grp < nv.ForceGroups; grp++ {
-			seedF, fABE := forceMeasurement(out2, lab, grp, nv.ForceGroups, fDiv)
+			seedF, fSum, count := ForceSeed(out2, lab, grp, nv.ForceGroups)
+			if count == 0 {
+				continue // empty group: no measurement, no update
+			}
 			gF := m.ForceGrad(out2, seedF)
-			accumulate(sum, ks.Update(gF, fABE, 1))
+			accumulate(sum, ks.Update(gF, fSum/(float64(count)*fDiv), 1))
 		}
 		out2.Graph.Release()
 	}

@@ -68,19 +68,12 @@ type StepInfo struct {
 	Loss float64
 }
 
-// energyMeasurement derives the Kalman energy-update inputs from a batch
-// output, following Algorithm 1 lines 3-7: the gradient seed is the sign
-// vector σ_b of the *summed* signed predictions (Ŷ.sum().backward() — the
-// sum, not the mean, which is what makes the Kalman gain K = Pg/(λ+gᵀPg)
-// self-normalizing), and ABE is the mean absolute per-atom energy error.
-func energyMeasurement(out *deepmd.Output, lab *deepmd.Labels, div float64) (seed *tensor.Dense, abe float64) {
-	seed, sum := EnergySeed(out, lab)
-	return seed, sum / (float64(out.Energies.Rows()) * div)
-}
-
-// EnergySeed returns the per-image sign vector σ_b of the energy
-// measurement and the raw Σ|ΔE| over the batch.  The distributed trainer
-// allreduces these unscaled partials before forming the Kalman inputs.
+// EnergySeed returns the inputs of the energy measurement (Algorithm 1
+// lines 3-7): the gradient seed is the per-image sign vector σ_b of the
+// *summed* signed predictions (Ŷ.sum().backward() — the sum, not the
+// mean, which is what makes the Kalman gain K = Pg/(λ+gᵀPg)
+// self-normalizing), and absSum is the raw Σ|ΔE| over the batch, from
+// which the mean per-atom ABE is formed after the funnel reduction.
 func EnergySeed(out *deepmd.Output, lab *deepmd.Labels) (seed *tensor.Dense, absSum float64) {
 	b := out.Energies.Rows()
 	seed = tensor.New(b, 1)
@@ -95,19 +88,6 @@ func EnergySeed(out *deepmd.Output, lab *deepmd.Labels) (seed *tensor.Dense, abs
 		absSum += math.Abs(label - pred)
 	}
 	return seed, absSum
-}
-
-// forceMeasurement derives the Kalman force-update inputs for one of the
-// nGroups interleaved force-component groups: the seed is the per-component
-// sign vector of the summed signed predictions over the group, and ABE is
-// the mean absolute force error of the group scaled by 1/Na, the reference
-// implementation's convention.
-func forceMeasurement(out *deepmd.Output, lab *deepmd.Labels, group, nGroups int, div float64) (seed *tensor.Dense, abe float64) {
-	seed, sum, count := ForceSeed(out, lab, group, nGroups)
-	if count == 0 {
-		return seed, 0
-	}
-	return seed, sum / (float64(count) * div)
 }
 
 // ForceSeed returns the per-component sign vector of one force group, the

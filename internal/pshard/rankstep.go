@@ -2,7 +2,6 @@ package pshard
 
 import (
 	"fmt"
-	"time"
 
 	"fekf/internal/cluster"
 	"fekf/internal/dataset"
@@ -11,180 +10,38 @@ import (
 )
 
 // RankStep executes one rank's role in a covariance-sharded FEKF step: the
-// same funnel schedule as cluster.RankStep — local backward, ring
-// allreduce of gradient/ABE partials — but the Kalman update runs against
-// the rank's P slabs only.  Per measurement the rank computes its owned
-// P·g rows, allgathers the rest from the other owners (an extra "exchange"
-// collective absent from the replicated step), then finishes the update —
-// a, K, Δw, λ — from the now-identical full P·g, so every rank applies the
-// same weight increment and the weights stay bit-identical to the
-// unsharded single-host FEKF.  The deferred drain refreshes only the
-// owned slabs and overlaps the next group's backward and allreduce.
-//
-// Abort semantics mirror the replicated step: a broken allreduce or
-// exchange leaves the measurement unapplied on every rank (GainOwned
-// writes only scratch), in-flight drains are joined, and the error wraps
-// cluster.ErrRingBroken.  Each update is gated on the reduced sample
-// count, which is bit-identical on every rank, so the ranks always agree
-// on whether the exchange collective runs.
+// shared funnel schedule (optimize.FunnelStep) — local backward, ring
+// allreduce of gradient/ABE partials, count-gated measurements, pipelined
+// drains — with the rank's P slabs as the covariance backend (see
+// Measure), so the weights stay bit-identical to the unsharded filter.
 func RankStep(ring *cluster.Ring, rank int, m *deepmd.Model, st *State, p cluster.StepParams, ds *dataset.Dataset, idx []int, inject func() error) (optimize.StepInfo, error) {
-	nParams := m.Params.NumParams()
-	if nParams != st.NumParams() {
-		panic(fmt.Sprintf("pshard: model has %d params, state %d", nParams, st.NumParams()))
-	}
-	var env *deepmd.Env
-	var lab *deepmd.Labels
-	var err error
-	if ds != nil && len(idx) > 0 {
-		env, err = deepmd.BuildBatchEnv(m.Cfg, ds, idx)
-		if err == nil && inject != nil {
-			err = inject()
-		}
-		if err == nil {
-			lab = deepmd.BatchLabels(ds, idx)
-		}
-	}
-	active := err == nil && env != nil && lab != nil
+	return optimize.FunnelStep(ring.Reducer(rank), rank, m, ringState{st, ring, rank}, p, ds, idx, inject)
+}
 
-	trace := p.Spans
-	var t0 time.Time
-	span := func(name string) {
-		if trace != nil {
-			trace.Span(rank, name, t0, time.Since(t0))
-		}
-	}
-	mark := func() {
-		if trace != nil {
-			t0 = time.Now()
-		}
-	}
-	tracedDrain := func(drain func()) func() {
-		if trace == nil {
-			return drain
-		}
-		return func() {
-			d0 := time.Now()
-			drain()
-			trace.Span(rank, "drain", d0, time.Since(d0))
-		}
-	}
+// ringState is a rank's sharded state bound to the ring its exchange
+// collective runs over.
+type ringState struct {
+	st   *State
+	ring *cluster.Ring
+	rank int
+}
 
-	// applyMeasurement runs one sharded Kalman update from the reduced
-	// gradient: owned P·g, exchange, finish, apply.  The previous drain
-	// has already been joined by the caller (GainOwned reads the slabs
-	// the drain mutates).
-	applyMeasurement := func(g []float64, abe float64) (func(), error) {
-		mark()
-		pg := st.GainOwned(g)
-		span("gain")
-		mark()
-		if cerr := ring.AllgatherSegments(rank, pg, st.Segments()); cerr != nil {
-			return nil, cerr
-		}
-		span("exchange")
-		mark()
-		delta, drain := st.FinishUpdate(g, abe, p.Scale)
-		m.Params.AddFlat(delta)
-		span("gain")
-		return optimize.StartDrain(tracedDrain(drain), p.Pipeline), nil
+// Measure implements optimize.Covariance: the rank computes its owned
+// P·g rows, allgathers the rest from the other owners (the "exchange"
+// collective absent from the replicated step), then finishes the update
+// — a, K, Δw, λ — from the now-identical full P·g, so every rank applies
+// the same increment.  The drain refreshes only the owned slabs.  A
+// broken exchange leaves the measurement unapplied (GainOwned writes
+// only scratch) and the error wraps cluster.ErrRingBroken.
+func (rs ringState) Measure(g []float64, abe, scale float64, ph *optimize.Phases) ([]float64, func(), error) {
+	pg := rs.st.GainOwned(g)
+	ph.Span("gain")
+	ph.Mark()
+	if err := rs.ring.AllgatherSegments(rs.rank, pg, rs.st.Segments()); err != nil {
+		return nil, nil, fmt.Errorf("exchange: %w", err)
 	}
-
-	// ---- energy update
-	buf := make([]float64, nParams+2)
-	var out *deepmd.Output
-	mark()
-	if active {
-		out = m.Forward(env, false)
-		seedE, absSum := optimize.EnergySeed(out, lab)
-		copy(buf, m.EnergyGrad(out, seedE))
-		buf[nParams] = absSum
-		buf[nParams+1] = float64(len(idx))
-	}
-	span("backward")
-	mark()
-	if cerr := ring.Allreduce(rank, buf); cerr != nil {
-		if out != nil {
-			out.Graph.Release()
-		}
-		return optimize.StepInfo{}, fmt.Errorf("energy allreduce: %w", cerr)
-	}
-	span("allreduce")
-	abe := 0.0
-	wait := func() {}
-	if buf[nParams+1] > 0 {
-		abe = buf[nParams] / (buf[nParams+1] * p.EnergyDiv)
-		w, cerr := applyMeasurement(buf[:nParams], abe)
-		if cerr != nil {
-			if out != nil {
-				out.Graph.Release()
-			}
-			return optimize.StepInfo{}, fmt.Errorf("energy exchange: %w", cerr)
-		}
-		wait = w
-	}
-	if out != nil {
-		out.Graph.Release()
-	}
-
-	// ---- force updates
-	var out2 *deepmd.Output
-	fErr := make([]float64, 2)
-	mark()
-	if active {
-		out2 = m.Forward(env, true)
-		sum, count := optimize.ForceErrorSum(out2, lab)
-		fErr[0], fErr[1] = sum, float64(count)
-	}
-	span("backward")
-	for grp := 0; grp < p.ForceGroups; grp++ {
-		fbuf := make([]float64, nParams+2)
-		mark()
-		if out2 != nil {
-			seedF, fSum, count := optimize.ForceSeed(out2, lab, grp, p.ForceGroups)
-			copy(fbuf, m.ForceGrad(out2, seedF))
-			fbuf[nParams] = fSum
-			fbuf[nParams+1] = float64(count)
-		}
-		span("backward")
-		mark()
-		if cerr := ring.Allreduce(rank, fbuf); cerr != nil {
-			wait()
-			if out2 != nil {
-				out2.Graph.Release()
-			}
-			return optimize.StepInfo{EnergyABE: abe}, fmt.Errorf("force group %d allreduce: %w", grp, cerr)
-		}
-		span("allreduce")
-		if fbuf[nParams+1] > 0 {
-			fabe := fbuf[nParams] / (fbuf[nParams+1] * p.ForceDiv)
-			wait()
-			w, cerr := applyMeasurement(fbuf[:nParams], fabe)
-			if cerr != nil {
-				if out2 != nil {
-					out2.Graph.Release()
-				}
-				return optimize.StepInfo{EnergyABE: abe}, fmt.Errorf("force group %d exchange: %w", grp, cerr)
-			}
-			wait = w
-		}
-	}
-
-	mark()
-	if cerr := ring.AllreduceScalars(rank, fErr); cerr != nil {
-		wait()
-		if out2 != nil {
-			out2.Graph.Release()
-		}
-		return optimize.StepInfo{EnergyABE: abe}, fmt.Errorf("force-error allreduce: %w", cerr)
-	}
-	span("allreduce")
-	forceABE := 0.0
-	if fErr[1] > 0 {
-		forceABE = fErr[0] / fErr[1]
-	}
-	wait()
-	if out2 != nil {
-		out2.Graph.Release()
-	}
-	return optimize.StepInfo{EnergyABE: abe, ForceABE: forceABE}, err
+	ph.Span("exchange")
+	ph.Mark()
+	delta, drain := rs.st.FinishUpdate(g, abe, scale)
+	return delta, drain, nil
 }

@@ -16,7 +16,8 @@ import (
 // it advances identically everywhere because every rank applies the same
 // reduced measurement.
 //
-// The per-step protocol (see RankStep):
+// Each measurement of the funnel schedule (optimize.FunnelStep, which
+// RankStep runs with this state as its covariance backend) is:
 //
 //	pg := st.GainOwned(g)                    // owned rows of P·g
 //	ring.AllgatherSegments(rank, pg, segs)   // everyone gets the full P·g

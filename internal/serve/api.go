@@ -6,6 +6,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"fekf/internal/dataset"
 	"fekf/internal/fleet"
@@ -63,8 +64,13 @@ func (r *PredictRequest) Validate() error {
 		return fmt.Errorf("%d coordinates for %d atoms", len(r.Pos), len(r.Types))
 	}
 	for d, b := range r.Box {
-		if !(b > 0) {
+		if !(b > 0) || math.IsInf(b, 1) {
 			return fmt.Errorf("box dimension %d is %g", d, b)
+		}
+	}
+	for i, x := range r.Pos {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("coordinate %d is %g", i, x)
 		}
 	}
 	return nil

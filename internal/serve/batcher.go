@@ -161,6 +161,20 @@ func (b *Batcher) runGroup(group []*predictJob) {
 		}
 		return
 	}
+	// A frame BuildEnv would refuse is answered on its own, so it cannot
+	// fail the rest of its group.
+	ok := group[:0]
+	for _, j := range group {
+		if err := deepmd.CheckGeometry(snap.Model.Cfg, j.sys.Box, j.sys.Pos); err != nil {
+			j.done <- jobResult{err: err}
+			continue
+		}
+		ok = append(ok, j)
+	}
+	group = ok
+	if len(group) == 0 {
+		return
+	}
 	systems := make([]*md.System, len(group))
 	for i, j := range group {
 		systems[i] = j.sys

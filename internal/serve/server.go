@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fekf/internal/dataset"
+	"fekf/internal/deepmd"
 	"fekf/internal/fleet"
 	"fekf/internal/md"
 	"fekf/internal/obs"
@@ -294,7 +295,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	res, err := s.bat.Predict(r.Context(), sys)
 	if err != nil {
 		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case errors.Is(err, deepmd.ErrBadGeometry):
+			status = http.StatusBadRequest
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			status = http.StatusServiceUnavailable
 		}
 		writeErr(w, status, err.Error())

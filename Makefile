@@ -32,12 +32,15 @@ race-pipeline:
 		./internal/optimize ./internal/cluster ./internal/pshard ./internal/train
 
 # The online-learning subsystem is concurrency all the way down: HTTP
-# producers against the ingest queue, the trainer loop against snapshot
+# producers against the ingest queue, the conductor against snapshot
 # readers, the prediction micro-batcher against shutdown.  Soak it under
 # the race detector explicitly (the broad `race` target covers it too;
-# this runs the streaming packages alone for a fast signal).
+# this runs the streaming packages alone for a fast signal): the stream
+# library pieces, the single trainer (a fleet of one), its one-replica
+# fleet tests and the serving layer.
 race-online:
-	$(GO) test -race -timeout 15m -count=1 ./internal/online ./internal/serve
+	$(GO) test -race -timeout 15m -count=1 ./internal/stream ./internal/online ./internal/serve
+	$(GO) test -race -timeout 15m -count=1 -run 'FleetOfOne|Legacy|IngestWakes' ./internal/fleet
 
 # Soak the replicated fleet under the race detector: N replicas in lockstep
 # collective steps while HTTP-style producers shard frames into the queues,
@@ -72,8 +75,9 @@ race-obs:
 		./internal/online ./internal/fleet ./internal/serve
 
 # Soak the self-healing layer under the race detector: the sentinel/ring/
-# frame unit tests, then the guard integration across trainer, fleet and
-# serve — divergence auto-rollback to the newest healthy ring generation,
+# frame unit tests, then the guard integration across the fleet (the single
+# trainer's cases run as a fleet of one) and serve — divergence
+# auto-rollback to the newest healthy ring generation,
 # corrupt-checkpoint quarantine, the conductor step watchdog mapping a hung
 # rank onto the replica-death path, and the chaos soak (byte flips + NaN
 # poison + hung rank over {replicated,pshard} × {chan,tcp}) with continuous
@@ -81,7 +85,7 @@ race-obs:
 race-guard:
 	$(GO) test -race -timeout 20m -count=1 ./internal/guard
 	$(GO) test -race -timeout 30m -count=1 -run 'Guard|Rollback|Watchdog|Chaos|Corrupt|Quarantine' \
-		./internal/online ./internal/fleet ./internal/serve
+		./internal/fleet ./internal/serve
 
 # The TCP ring transport runs four goroutines per endpoint (accept, read,
 # heartbeat, plus the caller) against shared connection state, reconnect
@@ -115,13 +119,17 @@ serve-smoke:
 	$(GO) run ./cmd/serve -smoke-transport
 
 # Short fuzz pass over the kernels whose parallel==serial bitwise contract
-# the pipeline relies on (go test runs one fuzz target per invocation).
+# the pipeline relies on, the shard router and the checkpoint decoder (go
+# test runs one fuzz target per invocation).  The decoder target caps
+# minimization at 1s: each new-coverage input is otherwise minimized for up
+# to a minute, which would use up the whole 5s run.
 fuzz:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGEMMParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzPUpdateFusedParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzSymMatVecParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime 5s
 	$(GO) test ./internal/pshard -run '^$$' -fuzz '^FuzzBlockPartition$$' -fuzztime 5s
+	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s -fuzzminimizetime 1s
 
 # Host-parallelism speedup curve (Kalman block update, GEMM family, the
 # pipelined FEKF iteration).

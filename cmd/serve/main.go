@@ -47,6 +47,7 @@ import (
 	"fekf/internal/online"
 	"fekf/internal/optimize"
 	"fekf/internal/serve"
+	"fekf/internal/stream"
 	"fekf/internal/tensor"
 )
 
@@ -67,7 +68,7 @@ func main() {
 		ckptKeep    = flag.Int("checkpoint-keep", 3, "checksummed checkpoint ring generations retained around -checkpoint (0 = legacy single file)")
 		resume      = flag.Bool("resume", false, "resume from -checkpoint if it exists (newest valid ring generation, quarantining corrupt ones)")
 		guardOn     = flag.Bool("guard", true, "numerical health sentinel with automatic rollback to the newest valid checkpoint generation on divergence")
-		stepTimeout = flag.Duration("step-timeout", 0, "fleet step watchdog: abort and reconcile a rank stuck longer than this (0 = off; fleet backend only)")
+		stepTimeout = flag.Duration("step-timeout", 0, "step watchdog: abort and reconcile a rank stuck longer than this (0 = off)")
 		degraded503 = flag.Bool("degraded-503", false, "GET /healthz answers 503 while the guard reports a degraded state")
 		gateOn      = flag.Bool("gate", true, "ALKPU-style uncertainty gating of ingested frames")
 		gateThresh  = flag.Float64("gate-threshold", 0.5, "gate threshold (fraction of the EMA score)")
@@ -147,7 +148,7 @@ func main() {
 		return
 	}
 
-	policy, err := online.ParsePolicy(*queuePol)
+	policy, err := stream.ParsePolicy(*queuePol)
 	if err != nil {
 		log.Fatalf("serve: %v", err)
 	}
@@ -155,62 +156,39 @@ func main() {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(*traceBuf)
 
-	var be serve.Backend
-	if *replicas > 1 || *autoscale || *pshardOn {
-		fcfg := fleet.Config{
-			Replicas:        *replicas,
-			PShard:          *pshardOn,
-			ShardPolicy:     shard,
-			BatchSize:       *bs,
-			QueueSize:       *queueSize,
-			QueuePolicy:     policy,
-			WindowSize:      *window,
-			ReservoirSize:   *reservoir,
-			SnapshotEvery:   *snapEvery,
-			CheckpointPath:  *ckptPath,
-			CheckpointEvery: *ckptEvery,
-			CheckpointKeep:  *ckptKeep,
-			Guard:           guard.SentinelConfig{Enabled: *guardOn},
-			StepTimeout:     *stepTimeout,
-			Gate:            gateConfig(*gateOn, *gateThresh),
-			TrainIdle:       *trainIdle,
-			Seed:            *seed,
-			Transport:       *transport,
-			Autoscale:       ascfg,
-			Metrics:         fleet.NewMetrics(reg),
-			Trace:           tracer,
-		}
-		fl, err := buildFleet(*system, *bootstrap, *seed, *resume, *ckptPath, *ckptKeep, fcfg)
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		fl.Start()
-		be = fl
-	} else {
-		tcfg := online.TrainerConfig{
-			BatchSize:       *bs,
-			QueueSize:       *queueSize,
-			QueuePolicy:     policy,
-			WindowSize:      *window,
-			ReservoirSize:   *reservoir,
-			SnapshotEvery:   *snapEvery,
-			CheckpointPath:  *ckptPath,
-			CheckpointEvery: *ckptEvery,
-			CheckpointKeep:  *ckptKeep,
-			Guard:           guard.SentinelConfig{Enabled: *guardOn},
-			Gate:            gateConfig(*gateOn, *gateThresh),
-			TrainIdle:       *trainIdle,
-			Seed:            *seed,
-			Metrics:         online.NewMetrics(reg),
-			Trace:           tracer,
-		}
-		tr, err := buildTrainer(*system, *bootstrap, *seed, *resume, *ckptPath, *ckptKeep, tcfg)
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		tr.Start()
-		be = tr
+	fcfg := fleet.Config{
+		Replicas:        *replicas,
+		PShard:          *pshardOn,
+		ShardPolicy:     shard,
+		BatchSize:       *bs,
+		QueueSize:       *queueSize,
+		QueuePolicy:     policy,
+		WindowSize:      *window,
+		ReservoirSize:   *reservoir,
+		SnapshotEvery:   *snapEvery,
+		CheckpointPath:  *ckptPath,
+		CheckpointEvery: *ckptEvery,
+		CheckpointKeep:  *ckptKeep,
+		Guard:           guard.SentinelConfig{Enabled: *guardOn},
+		StepTimeout:     *stepTimeout,
+		Gate:            gateConfig(*gateOn, *gateThresh),
+		TrainIdle:       *trainIdle,
+		Seed:            *seed,
+		Transport:       *transport,
+		Autoscale:       ascfg,
+		Trace:           tracer,
 	}
+	if *replicas > 1 || *autoscale || *pshardOn {
+		fcfg.Metrics = fleet.NewMetrics(reg)
+	} else {
+		// A single trainer is a fleet of one under the fekf_train_* names.
+		fcfg.Metrics = online.NewMetrics(reg)
+	}
+	be, err := buildFleet(*system, *bootstrap, *seed, *resume, *ckptPath, *ckptKeep, fcfg)
+	if err != nil {
+		log.Fatalf("serve: %v", err)
+	}
+	be.Start()
 
 	srv := serve.New(be, serve.Config{Addr: *addr, Metrics: reg, Trace: tracer, EnablePprof: *pprofOn, Degraded503: *degraded503})
 	if err := srv.Start(); err != nil {
@@ -328,60 +306,15 @@ func requireMetrics(client *http.Client, base string, series ...string) (map[str
 	return samples, nil
 }
 
-func gateConfig(on bool, threshold float64) online.GateConfig {
-	g := online.DefaultGateConfig()
+func gateConfig(on bool, threshold float64) stream.GateConfig {
+	g := stream.DefaultGateConfig()
 	g.Enabled = on
 	g.Threshold = threshold
 	return g
 }
 
-// buildTrainer resumes from the checkpoint when asked (and present) — the
-// newest valid ring generation, quarantining corrupt ones — else bootstraps
-// a fresh model from a small generated dataset.
-func buildTrainer(system string, bootstrap int, seed int64, resume bool, ckptPath string, ckptKeep int, tcfg online.TrainerConfig) (*online.Trainer, error) {
-	dev := device.New("gpu0", device.A100())
-	if resume && ckptPath != "" {
-		ck, seq, quarantined, err := online.LoadNewestCheckpoint(ckptPath, ckptKeep)
-		for _, q := range quarantined {
-			log.Printf("quarantined corrupt checkpoint generation: %s.corrupt", q)
-		}
-		switch {
-		case errors.Is(err, guard.ErrNoCheckpoint) || os.IsNotExist(err):
-			log.Printf("no checkpoint at %s, bootstrapping fresh", ckptPath)
-		case err != nil:
-			return nil, err
-		default:
-			tr, err := online.ResumeTrainer(ck, dev, tcfg)
-			if err != nil {
-				return nil, err
-			}
-			log.Printf("resumed from %s (generation %d): step %d, λ=%.6f", ckptPath, seq, tr.Stats().Steps, tr.Stats().Lambda)
-			return tr, nil
-		}
-	}
-	ds, m, opt, err := bootstrapModel(system, bootstrap, seed, dev)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := online.NewTrainer(m, opt, ds, tcfg)
-	if err != nil {
-		return nil, err
-	}
-	// seed the stream with the bootstrap frames so training can begin
-	// before the first external frame arrives
-	for _, s := range ds.Snapshots {
-		if _, err := tr.Ingest(s); err != nil {
-			return nil, err
-		}
-	}
-	log.Printf("bootstrapped %s: %d frames, %d-atom cells, %d parameters",
-		system, ds.Len(), ds.Snapshots[0].NumAtoms(), m.NumParams())
-	return tr, nil
-}
-
 // bootstrapModel generates a small labelled dataset and an initialized tiny
-// model + paper-default FEKF for it — the shared boot path of the single
-// trainer and the fleet.
+// model + paper-default FEKF for it.
 func bootstrapModel(system string, bootstrap int, seed int64, dev *device.Device) (*dataset.Dataset, *deepmd.Model, *optimize.FEKF, error) {
 	if bootstrap < 4 {
 		bootstrap = 4
@@ -602,7 +535,7 @@ func runSmoke(system string, seed int64, chaos bool) error {
 	if chaos {
 		tcfg.Chaos = guard.ChaosConfig{PoisonStep: 6}
 	}
-	tr, err := buildTrainer(system, 8, seed, false, "", 0, tcfg)
+	tr, err := buildFleet(system, 8, seed, false, "", 0, tcfg)
 	if err != nil {
 		return err
 	}
@@ -715,11 +648,11 @@ func runSmoke(system string, seed int64, chaos bool) error {
 
 	// kill→restart: resume from the newest ring generation and verify the
 	// schedule position survived
-	ck, _, _, err := online.LoadNewestCheckpoint(ckpt, 3)
+	ck, _, _, err := fleet.LoadNewestCheckpoint(ckpt, 3)
 	if err != nil {
 		return err
 	}
-	tr2, err := online.ResumeTrainer(ck, device.New("gpu1", device.A100()), tcfg)
+	tr2, err := online.ResumeTrainer(ck, tcfg)
 	if err != nil {
 		return err
 	}
@@ -1014,7 +947,7 @@ func runAutoscaleSmoke(system string, seed int64, transport string) error {
 	tracer := obs.NewTracer(64)
 	fcfg := fleet.Config{
 		Replicas: 1, BatchSize: 2, MinFrames: 2,
-		QueueSize: 8, QueuePolicy: online.DropNewest,
+		QueueSize: 8, QueuePolicy: stream.DropNewest,
 		WindowSize: 64, ReservoirSize: 64, SnapshotEvery: 1,
 		Gate: gateConfig(false, 0), Seed: seed, Transport: transport,
 		PollInterval: time.Millisecond,

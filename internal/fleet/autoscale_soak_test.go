@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"fekf/internal/deepmd"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // Race soak for the autoscaler (run under -race via make race-autoscale):
@@ -20,9 +20,9 @@ import (
 // Kill/Revive.
 func TestAutoscaleRaceSoak(t *testing.T) {
 	ds, f := newTestFleet(t, 1, Config{
-		SnapshotEvery: 1, QueueSize: 4, QueuePolicy: online.DropNewest,
+		SnapshotEvery: 1, QueueSize: 4, QueuePolicy: stream.DropNewest,
 		PollInterval: time.Millisecond, Seed: 37,
-		Gate: online.GateConfig{Enabled: false},
+		Gate: stream.GateConfig{Enabled: false},
 		Autoscale: AutoscaleConfig{
 			Enabled: true, Min: 1, Max: 3,
 			Interval:   2 * time.Millisecond,

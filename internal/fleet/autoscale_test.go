@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"fekf/internal/fleet/clocktest"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // testScaler builds an autoscaler on a fake clock parked at t=0.
@@ -168,7 +168,7 @@ func TestAutoscaleConfigValidation(t *testing.T) {
 func TestAutoscaleFleetTransitionsBitwise(t *testing.T) {
 	clk := clocktest.New(time.Unix(0, 0))
 	cfg := Config{
-		Seed: 23, Gate: online.GateConfig{Enabled: false},
+		Seed: 23, Gate: stream.GateConfig{Enabled: false},
 		QueueSize: 8, Clock: clk,
 		Autoscale: AutoscaleConfig{
 			Enabled: true, Min: 1, Max: 3,
@@ -285,7 +285,7 @@ func TestAutoscaleFleetTransitionsBitwise(t *testing.T) {
 func TestAutoscaleDownReShardsBacklog(t *testing.T) {
 	clk := clocktest.New(time.Unix(0, 0))
 	cfg := Config{
-		Seed: 29, Gate: online.GateConfig{Enabled: false}, QueueSize: 16, Clock: clk,
+		Seed: 29, Gate: stream.GateConfig{Enabled: false}, QueueSize: 16, Clock: clk,
 		Autoscale: AutoscaleConfig{Enabled: true, Min: 1, Max: 2},
 	}
 	ds, f := newTestFleet(t, 2, cfg)

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // BenchmarkFleetScaling sweeps the replica count and measures one lockstep
@@ -16,7 +16,7 @@ import (
 func BenchmarkFleetScaling(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
-			ds, f := newTestFleet(b, n, Config{Seed: 42, Gate: online.GateConfig{Enabled: false}})
+			ds, f := newTestFleet(b, n, Config{Seed: 42, Gate: stream.GateConfig{Enabled: false}})
 			for i := 0; i < 4*n; i++ {
 				if ok, err := f.Ingest(ds.Snapshots[i%ds.Len()]); !ok || err != nil {
 					b.Fatalf("ingest %d: %v %v", i, ok, err)
@@ -65,7 +65,7 @@ func BenchmarkAutoscaleDecision(b *testing.B) {
 // lockstep steps.
 func BenchmarkFleetScaleTransition(b *testing.B) {
 	ds, f := newTestFleet(b, 1, Config{
-		Seed: 42, Gate: online.GateConfig{Enabled: false},
+		Seed: 42, Gate: stream.GateConfig{Enabled: false},
 		Autoscale: AutoscaleConfig{Enabled: true, Min: 1, Max: 2},
 	})
 	for i := 0; i < 4; i++ {

@@ -14,9 +14,9 @@ import (
 	"fekf/internal/device"
 	"fekf/internal/guard"
 	"fekf/internal/md"
-	"fekf/internal/online"
 	"fekf/internal/optimize"
 	"fekf/internal/pshard"
+	"fekf/internal/stream"
 )
 
 // ReplicaCheckpoint is one replica's private shard state: its replay
@@ -29,8 +29,8 @@ type ReplicaCheckpoint struct {
 	Alive          bool
 	FramesAccepted int64
 	FramesGatedOut int64
-	Replay         *online.ReplayCheckpoint
-	Gate           *online.GateCheckpoint
+	Replay         *stream.ReplayCheckpoint
+	Gate           *stream.GateCheckpoint
 }
 
 // Checkpoint is the combined on-disk state of a fleet: the shared model
@@ -150,7 +150,7 @@ func (f *Fleet) WriteCheckpoint(path string) error {
 		f.health.NoteCheckpoint(seq, f.clock.Now())
 		return nil
 	}
-	return online.WriteGobAtomic(path, ck)
+	return stream.WriteGobAtomic(path, ck)
 }
 
 func (f *Fleet) writeCheckpointCounted(path string) error {
@@ -165,27 +165,63 @@ func (f *Fleet) writeCheckpointCounted(path string) error {
 	return err
 }
 
-// LoadCheckpoint reads a checkpoint written by WriteCheckpoint — either a
-// legacy plain gob file or a checksummed ring generation (see
-// guard.EncodeFrame).  A framed file that is torn or bit-flipped fails
-// with an error wrapping guard.ErrCorrupt rather than an opaque gob decode
-// error.
+// legacyReplica holds the replica state a single-trainer checkpoint kept
+// at top level, from before a single trainer became a fleet of one.  Gob
+// matches fields by name, so decoding such a payload into it picks out
+// exactly these fields.
+type legacyReplica struct {
+	FramesGatedOut int64
+	FramesAccepted int64
+	Replay         *stream.ReplayCheckpoint
+	Gate           *stream.GateCheckpoint
+}
+
+// DecodeCheckpoint decodes checkpoint bytes: a CRC32-C framed ring
+// generation (see guard.EncodeFrame) or a plain gob file, in the fleet
+// layout or the single-trainer layout, which it converts into a
+// one-replica fleet checkpoint.  A framed payload that is torn or
+// bit-flipped fails with an error wrapping guard.ErrCorrupt rather than
+// an opaque gob decode error.
+func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
+	if _, p, err := guard.DecodeFrame(bytes.NewReader(b)); err == nil {
+		b = p
+	} else if !errors.Is(err, guard.ErrNotFramed) {
+		return nil, err
+	}
+	var ck Checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ck); err != nil {
+		return nil, err
+	}
+	if len(ck.Replicas) > 0 {
+		return &ck, nil
+	}
+	var lr legacyReplica
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&lr); err != nil || lr.Replay == nil {
+		return nil, fmt.Errorf("fleet: checkpoint has no replicas")
+	}
+	ck.Replicas = []*ReplicaCheckpoint{{
+		Alive:          true,
+		FramesAccepted: lr.FramesAccepted,
+		FramesGatedOut: lr.FramesGatedOut,
+		Replay:         lr.Replay,
+		Gate:           lr.Gate,
+	}}
+	return &ck, nil
+}
+
+// LoadCheckpoint reads a checkpoint file written by WriteCheckpoint (or by
+// the single trainer before it became a fleet of one); see
+// DecodeCheckpoint.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload := b
-	if _, p, err := guard.DecodeFrame(bytes.NewReader(b)); err == nil {
-		payload = p
-	} else if !errors.Is(err, guard.ErrNotFramed) {
+	ck, err := DecodeCheckpoint(b)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
 	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("fleet: decode checkpoint %s: %w", path, err)
-	}
-	return &ck, nil
+	return ck, nil
 }
 
 // LoadNewestCheckpoint resolves the newest valid generation of the fleet
@@ -206,11 +242,11 @@ func LoadNewestCheckpoint(path string, keep int) (*Checkpoint, uint64, []string,
 		}
 		return nil, 0, quarantined, err
 	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
+	ck, err := DecodeCheckpoint(payload)
+	if err != nil {
 		return nil, 0, quarantined, fmt.Errorf("fleet: decode checkpoint generation %d: %w", seq, err)
 	}
-	return &ck, seq, quarantined, nil
+	return ck, seq, quarantined, nil
 }
 
 // Resume reconstructs a fleet from a checkpoint: every replica gets the
@@ -254,21 +290,7 @@ func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 		f.lambdaBits.Store(math.Float64bits(opt.Lambda()))
 	}
 	for i, rck := range ck.Replicas {
-		r := f.reps[i]
-		r.alive.Store(rck.Alive)
-		r.accepted.Store(rck.FramesAccepted)
-		r.gatedOut.Store(rck.FramesGatedOut)
-		if rck.Replay != nil {
-			r.replay = online.RestoreReplay(rck.Replay)
-			r.replayLen.Store(int64(r.replay.Len()))
-			r.replayWin.Store(int64(r.replay.WindowLen()))
-			r.replayRes.Store(int64(r.replay.ReservoirLen()))
-			r.seen.Store(r.replay.Seen())
-		}
-		if rck.Gate != nil {
-			r.gate = online.RestoreGate(rck.Gate, cfg.Gate)
-			r.gateEMA.Store(math.Float64bits(r.gate.EMA()))
-		}
+		f.reps[i].restorePrivate(rck, cfg.Gate)
 	}
 	return f, nil
 }

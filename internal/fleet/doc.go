@@ -1,10 +1,11 @@
 // Package fleet runs N replicated online FEKF trainers coupled through the
 // internal/cluster ring — the paper's §6 endgame of distributed online
-// learning.
+// learning.  It is the one conductor: the single online trainer
+// (internal/online) is a fleet of one replica.
 //
 // Topology: an ingest sharder partitions the labelled-frame stream across
 // per-replica bounded queues (hash or round-robin, reusing the
-// internal/online queue policies); each replica drains its shard through
+// internal/stream queue policies); each replica drains its shard through
 // its own ALKPU-style uncertainty gate into its own replay buffer.  Every
 // training step is a lockstep collective: each live replica samples a
 // private minibatch from its replay buffer, the per-replica gradients and

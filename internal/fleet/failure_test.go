@@ -8,14 +8,14 @@ import (
 	"time"
 
 	"fekf/internal/deepmd"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // A replica crashing mid-step (after its environment build) must leave the
 // survivors bitwise consistent: the crashed rank contributes zero partials
 // but applies the same reduced update, so weights and P cannot diverge.
 func TestReplicaCrashMidStepKeepsConsistency(t *testing.T) {
-	ds, f := newTestFleet(t, 3, Config{Seed: 21, Gate: online.GateConfig{Enabled: false}})
+	ds, f := newTestFleet(t, 3, Config{Seed: 21, Gate: stream.GateConfig{Enabled: false}})
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("ingest %d: %v %v", i, ok, err)
@@ -59,7 +59,7 @@ func TestReplicaCrashMidStepKeepsConsistency(t *testing.T) {
 // deterministic — no polling loops, no sleeps.
 func TestKillKeepsPredictAvailability(t *testing.T) {
 	ds, f := newTestFleet(t, 3, Config{
-		SnapshotEvery: 1, Seed: 13, Gate: online.GateConfig{Enabled: false},
+		SnapshotEvery: 1, Seed: 13, Gate: stream.GateConfig{Enabled: false},
 	})
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
@@ -132,7 +132,7 @@ func TestKillKeepsPredictAvailability(t *testing.T) {
 // shared state and is bitwise identical again — drift returns to exactly 0
 // and the router resumes sending it predictions.
 func TestReviveCatchesUpBitwise(t *testing.T) {
-	ds, f := newTestFleet(t, 3, Config{Seed: 17, Gate: online.GateConfig{Enabled: false}})
+	ds, f := newTestFleet(t, 3, Config{Seed: 17, Gate: stream.GateConfig{Enabled: false}})
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("ingest %d: %v %v", i, ok, err)
@@ -187,7 +187,7 @@ func TestReviveCatchesUpBitwise(t *testing.T) {
 
 // Revive with no survivor must fail cleanly rather than fabricate state.
 func TestReviveNeedsSurvivor(t *testing.T) {
-	_, f := newTestFleet(t, 2, Config{Seed: 19, Gate: online.GateConfig{Enabled: false}})
+	_, f := newTestFleet(t, 2, Config{Seed: 19, Gate: stream.GateConfig{Enabled: false}})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := f.Kill(ctx, 0); err != nil {

@@ -16,9 +16,9 @@ import (
 	"fekf/internal/guard"
 	"fekf/internal/md"
 	"fekf/internal/obs"
-	"fekf/internal/online"
 	"fekf/internal/optimize"
 	"fekf/internal/pshard"
+	"fekf/internal/stream"
 )
 
 // ErrNoReplica is returned by Ingest when every replica is dead.
@@ -47,7 +47,7 @@ type Config struct {
 	BatchSize int
 	// QueueSize and QueuePolicy bound each per-shard ingest queue.
 	QueueSize   int
-	QueuePolicy online.Policy
+	QueuePolicy stream.Policy
 	// WindowSize and ReservoirSize size each replica's replay buffer.
 	WindowSize, ReservoirSize int
 	// MinFrames is the fleet-total replay population required before
@@ -82,7 +82,7 @@ type Config struct {
 	// A configured hang requires StepTimeout > 0.
 	Chaos guard.ChaosConfig
 	// Gate configures per-replica uncertainty gating.
-	Gate online.GateConfig
+	Gate stream.GateConfig
 	// TrainIdle keeps stepping on the replay buffers while no new frames
 	// arrive.
 	TrainIdle bool
@@ -232,7 +232,11 @@ type Fleet struct {
 	// prove a crashing replica cannot make the survivors diverge.
 	failStep func(id int, step int64) error
 
-	ctl      chan func()
+	ctl chan func()
+	// wake carries one pending "frame queued" signal from Ingest to the
+	// idle conductor, so a new frame is drained at once rather than after
+	// the next PollInterval.
+	wake     chan struct{}
 	stop     chan struct{}
 	loopDone chan struct{}
 	started  atomic.Bool
@@ -265,6 +269,7 @@ func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config
 		clock:   cfg.Clock,
 
 		ctl:      make(chan func()),
+		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
@@ -350,11 +355,18 @@ func (f *Fleet) liveIDs() []int {
 	return ids
 }
 
+// ValidateFrame checks a frame against the fleet's model configuration
+// and per-frame atom count (see stream.ValidateFrame).  Safe from any
+// goroutine.
+func (f *Fleet) ValidateFrame(s *dataset.Snapshot) error {
+	return stream.ValidateFrame(s, f.model, int(f.naPer.Load()))
+}
+
 // Ingest validates one labelled frame, shards it to a live replica's queue
 // and reports whether it was accepted (false without error means dropped
 // by queue policy).  Safe from any goroutine.
 func (f *Fleet) Ingest(s dataset.Snapshot) (bool, error) {
-	if err := online.ValidateFrame(&s, f.model, int(f.naPer.Load())); err != nil {
+	if err := f.ValidateFrame(&s); err != nil {
 		return false, err
 	}
 	f.naPer.CompareAndSwap(0, int64(s.NumAtoms()))
@@ -362,13 +374,20 @@ func (f *Fleet) Ingest(s dataset.Snapshot) (bool, error) {
 	if id < 0 {
 		return false, ErrNoReplica
 	}
-	return f.reps[id].queue.Push(s)
+	ok, err := f.reps[id].queue.Push(s)
+	if ok {
+		select {
+		case f.wake <- struct{}{}:
+		default: // a wake is already pending
+		}
+	}
+	return ok, err
 }
 
 // Snapshot returns a model snapshot through the predict router: the next
 // healthy replica in rotation, falling back to the freshest published
 // snapshot when no replica is healthy.  Never nil after Start.
-func (f *Fleet) Snapshot() *online.ModelSnapshot { return f.router.Snapshot() }
+func (f *Fleet) Snapshot() *stream.ModelSnapshot { return f.router.Snapshot() }
 
 // Start publishes the initial snapshots and launches the conductor.
 func (f *Fleet) Start() {
@@ -539,6 +558,7 @@ func (f *Fleet) loop() {
 				return
 			case fn := <-f.ctl:
 				fn()
+			case <-f.wake:
 			case <-f.clock.After(f.cfg.PollInterval):
 			}
 			continue
@@ -900,6 +920,7 @@ func (f *Fleet) step() {
 	}
 	stepNo := f.steps.Load()
 	t0 := f.clock.Now()
+	k0 := time.Now()
 
 	// Chaos hang: at the configured step, one rank parks before entering
 	// the collective until the watchdog fires and releases it.  One-shot,
@@ -930,13 +951,16 @@ func (f *Fleet) step() {
 				infos[rank], errs[rank] = pshard.RankStep(ring, rank, r.model, f.pstates[id], params,
 					shares[rank].ds, shares[rank].idx, inject)
 			} else {
-				infos[rank], errs[rank] = cluster.RankStep(ring, rank, r.model, r.opt.State(), params,
+				// InitState builds P at the replica's first step and is a
+				// no-op after it.
+				infos[rank], errs[rank] = cluster.RankStep(ring, rank, r.model, r.opt.InitState(r.model), params,
 					shares[rank].ds, shares[rank].idx, inject)
 			}
 			progress[rank].Store(2)
 		}(k, id)
 	}
 	f.awaitStep(&wg, ring, live, stepNo, progress, hangCh)
+	rec.Span(-1, "step", k0, time.Since(k0))
 
 	n := f.steps.Add(1)
 	f.storeLambda(live)
@@ -1012,8 +1036,9 @@ func (f *Fleet) updateInvariants(live []int) {
 				wd = d
 			}
 		}
-		if !f.cfg.PShard {
-			if d := ref.opt.State().PDrift(f.reps[id].opt.State()); d > pd {
+		// No replica holds P before its first step.
+		if ks := ref.opt.State(); !f.cfg.PShard && ks != nil {
+			if d := ks.PDrift(f.reps[id].opt.State()); d > pd {
 				pd = d
 			}
 		}
@@ -1159,10 +1184,10 @@ func (f *Fleet) FleetStats() Stats {
 	return st
 }
 
-// Stats aggregates the fleet into the flat trainer-stats shape shared with
-// the single-trainer backend; safe from any goroutine.
-func (f *Fleet) Stats() online.Stats {
-	st := online.Stats{
+// Stats aggregates the fleet into the flat trainer-stats shape every
+// serving backend shares; safe from any goroutine.
+func (f *Fleet) Stats() stream.Stats {
+	st := stream.Stats{
 		System:        f.system,
 		Steps:         f.steps.Load(),
 		Lambda:        math.Float64frombits(f.lambdaBits.Load()),
@@ -1183,7 +1208,7 @@ func (f *Fleet) Stats() online.Stats {
 		st.ReplaySize += r.replayLen.Load()
 		st.ReplayWindowLen += r.replayWin.Load()
 		st.ReplayReservoirLen += r.replayRes.Load()
-		st.ReplayCapacity += int64(f.cfg.WindowSize + f.cfg.ReservoirSize)
+		st.ReplayCapacity += r.replayCap.Load()
 		if r.alive.Load() {
 			emaSum += math.Float64frombits(r.gateEMA.Load())
 			emaN++

@@ -10,8 +10,8 @@ import (
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
 	"fekf/internal/device"
-	"fekf/internal/online"
 	"fekf/internal/optimize"
+	"fekf/internal/stream"
 )
 
 // fleetSetup builds a small labelled stream, an initialized tiny model and
@@ -92,7 +92,7 @@ func assertBitwiseConsistent(t *testing.T, f *Fleet) {
 // The tentpole invariant: after every lockstep step over a sharded stream,
 // all replicas hold bitwise-identical weights and P.
 func TestFleetLockstepBitwise(t *testing.T) {
-	ds, f := newTestFleet(t, 3, Config{Seed: 11, Gate: online.GateConfig{Enabled: false}})
+	ds, f := newTestFleet(t, 3, Config{Seed: 11, Gate: stream.GateConfig{Enabled: false}})
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("ingest %d: %v %v", i, ok, err)
@@ -121,7 +121,7 @@ func TestFleetLockstepBitwise(t *testing.T) {
 // Round-robin sharding must spread a stream evenly across live replicas;
 // hash sharding must route a repeated configuration to the same replica.
 func TestShardPolicies(t *testing.T) {
-	ds, f := newTestFleet(t, 3, Config{Seed: 1, Gate: online.GateConfig{Enabled: false}})
+	ds, f := newTestFleet(t, 3, Config{Seed: 1, Gate: stream.GateConfig{Enabled: false}})
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("ingest %d: %v %v", i, ok, err)
@@ -133,7 +133,7 @@ func TestShardPolicies(t *testing.T) {
 		}
 	}
 
-	_, fh := newTestFleet(t, 3, Config{ShardPolicy: HashShard, Seed: 1, Gate: online.GateConfig{Enabled: false}})
+	_, fh := newTestFleet(t, 3, Config{ShardPolicy: HashShard, Seed: 1, Gate: stream.GateConfig{Enabled: false}})
 	want := fh.shardOf(&ds.Snapshots[0])
 	for i := 0; i < 5; i++ {
 		if got := fh.shardOf(&ds.Snapshots[0]); got != want {
@@ -176,7 +176,7 @@ func TestParseShardPolicy(t *testing.T) {
 // The router must rotate across healthy replicas and the aggregated stats
 // must reconcile with the per-replica rows.
 func TestRouterAndStats(t *testing.T) {
-	ds, f := newTestFleet(t, 3, Config{Seed: 3, Gate: online.GateConfig{Enabled: false}})
+	ds, f := newTestFleet(t, 3, Config{Seed: 3, Gate: stream.GateConfig{Enabled: false}})
 	f.Start()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -233,7 +233,7 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
 	// BatchSize is explicit: Resume must see the same sampling width the
 	// original fleet used, or the replay RNG streams fan apart.
-	cfg := Config{BatchSize: 2, MinFrames: 2, Seed: 9, CheckpointPath: path, Gate: online.GateConfig{Enabled: false}}
+	cfg := Config{BatchSize: 2, MinFrames: 2, Seed: 9, CheckpointPath: path, Gate: stream.GateConfig{Enabled: false}}
 	ds, f := newTestFleet(t, 3, cfg)
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
@@ -297,8 +297,8 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 // while the fleet conductor steps — run under -race (make race-fleet).
 func TestFleetConcurrentSoak(t *testing.T) {
 	ds, f := newTestFleet(t, 3, Config{
-		SnapshotEvery: 1, TrainIdle: true, QueueSize: 8, QueuePolicy: online.DropNewest,
-		Seed: 5, Gate: online.GateConfig{Enabled: true, Threshold: 0.5, Decay: 0.9, Warmup: 4},
+		SnapshotEvery: 1, TrainIdle: true, QueueSize: 8, QueuePolicy: stream.DropNewest,
+		Seed: 5, Gate: stream.GateConfig{Enabled: true, Threshold: 0.5, Decay: 0.9, Warmup: 4},
 	})
 	f.Start()
 

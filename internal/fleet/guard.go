@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sync"
@@ -12,7 +10,6 @@ import (
 	"fekf/internal/cluster"
 	"fekf/internal/guard"
 	"fekf/internal/obs"
-	"fekf/internal/online"
 	"fekf/internal/optimize"
 )
 
@@ -178,11 +175,11 @@ func (f *Fleet) rollbackLocked() error {
 	if err != nil {
 		return err
 	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
+	ck, err := DecodeCheckpoint(payload)
+	if err != nil {
 		return fmt.Errorf("fleet: decode checkpoint generation %d: %w", seq, err)
 	}
-	if err := f.applyCheckpoint(&ck); err != nil {
+	if err := f.applyCheckpoint(ck); err != nil {
 		return err
 	}
 	if f.sentinel != nil {
@@ -214,20 +211,7 @@ func (f *Fleet) applyCheckpoint(ck *Checkpoint) error {
 		if err := r.restoreShared(ck.Model, ck.Opt); err != nil {
 			return err
 		}
-		r.alive.Store(rck.Alive)
-		r.accepted.Store(rck.FramesAccepted)
-		r.gatedOut.Store(rck.FramesGatedOut)
-		if rck.Replay != nil {
-			r.replay = online.RestoreReplay(rck.Replay)
-			r.replayLen.Store(int64(r.replay.Len()))
-			r.replayWin.Store(int64(r.replay.WindowLen()))
-			r.replayRes.Store(int64(r.replay.ReservoirLen()))
-			r.seen.Store(r.replay.Seen())
-		}
-		if rck.Gate != nil {
-			r.gate = online.RestoreGate(rck.Gate, f.cfg.Gate)
-			r.gateEMA.Store(math.Float64bits(r.gate.EMA()))
-		}
+		r.restorePrivate(rck, f.cfg.Gate)
 	}
 	f.naPer.Store(ck.NumAtoms)
 	f.steps.Store(ck.Steps)

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"fekf/internal/obs"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // TestFleetObservability drives a 3-replica fleet with metrics and tracing
@@ -20,7 +20,7 @@ func TestFleetObservability(t *testing.T) {
 	ds, f := newTestFleet(t, 3, Config{
 		Seed:          23,
 		SnapshotEvery: 1, // every step publishes, so every trace has the span
-		Gate:          online.GateConfig{Enabled: false},
+		Gate:          stream.GateConfig{Enabled: false},
 		Metrics:       NewMetrics(reg),
 		Trace:         tracer,
 	})

@@ -7,14 +7,14 @@ import (
 	"testing"
 	"time"
 
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // benchFleet builds a warm fleet in the given covariance mode, ready to
 // step: frames ingested and queues drained.
 func benchFleet(tb testing.TB, replicas int, pshard bool) (*Fleet, func()) {
 	tb.Helper()
-	cfg := Config{Seed: 42, Gate: online.GateConfig{Enabled: false}, PShard: pshard}
+	cfg := Config{Seed: 42, Gate: stream.GateConfig{Enabled: false}, PShard: pshard}
 	ds, f := newTestFleet(tb, replicas, cfg)
 	for i := 0; i < 4*replicas; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i%ds.Len()]); !ok || err != nil {

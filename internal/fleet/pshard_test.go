@@ -10,8 +10,8 @@ import (
 
 	"fekf/internal/dataset"
 	"fekf/internal/fleet/clocktest"
-	"fekf/internal/online"
 	"fekf/internal/pshard"
+	"fekf/internal/stream"
 	"fekf/internal/tensor"
 )
 
@@ -100,7 +100,7 @@ func assertPShardMatchesReplicated(t *testing.T, fp, fr *Fleet) {
 // to the replicated fleet over the same stream — weights, λ and the
 // reassembled covariance — while each replica holds only ~1/R of P.
 func TestPShardFleetLockstepBitwise(t *testing.T) {
-	ds, fp, fr := newPShardPair(t, 3, Config{Seed: 11, Gate: online.GateConfig{Enabled: false}})
+	ds, fp, fr := newPShardPair(t, 3, Config{Seed: 11, Gate: stream.GateConfig{Enabled: false}})
 	for i := 0; i < 12; i++ {
 		if ok, err := fp.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("sharded ingest %d: %v %v", i, ok, err)
@@ -166,8 +166,8 @@ func TestPShardFleetLockstepBitwise(t *testing.T) {
 // fleet level too: a sharded fleet running its ring over TCP loopback
 // stays in lockstep with one running over in-process channels.
 func TestPShardFleetTCPBitwise(t *testing.T) {
-	tcpCfg := Config{Seed: 19, Gate: online.GateConfig{Enabled: false}, Transport: "tcp"}
-	chanCfg := Config{Seed: 19, Gate: online.GateConfig{Enabled: false}}
+	tcpCfg := Config{Seed: 19, Gate: stream.GateConfig{Enabled: false}, Transport: "tcp"}
+	chanCfg := Config{Seed: 19, Gate: stream.GateConfig{Enabled: false}}
 	tcpCfg.PShard, chanCfg.PShard = true, true
 	ds, ft := newTestFleet(t, 2, tcpCfg)
 	_, fc := newTestFleet(t, 2, chanCfg)
@@ -209,7 +209,7 @@ func TestPShardFleetTCPBitwise(t *testing.T) {
 // revive — every P row bitwise preserved, proven by lockstep equality with
 // a replicated twin driven through the identical membership schedule.
 func TestPShardKillReviveBitwise(t *testing.T) {
-	ds, fp, fr := newPShardPair(t, 3, Config{Seed: 13, Gate: online.GateConfig{Enabled: false}})
+	ds, fp, fr := newPShardPair(t, 3, Config{Seed: 13, Gate: stream.GateConfig{Enabled: false}})
 	ctx := context.Background()
 	for i := 0; i < 12; i++ {
 		fp.Ingest(ds.Snapshots[i])
@@ -258,7 +258,7 @@ func TestPShardKillReviveBitwise(t *testing.T) {
 func TestPShardCheckpointResumeBitwise(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pshard-fleet.ckpt")
 	cfg := Config{PShard: true, BatchSize: 2, MinFrames: 2, Seed: 9,
-		CheckpointPath: path, Gate: online.GateConfig{Enabled: false}}
+		CheckpointPath: path, Gate: stream.GateConfig{Enabled: false}}
 	ds, f := newTestFleet(t, 3, cfg)
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
@@ -318,7 +318,7 @@ func TestPShardCheckpointResumeBitwise(t *testing.T) {
 // reference survivor's rows bitwise, reset every unrecoverable row to the
 // identity prior, and leave the fleet stepping with consistent shards.
 func TestPShardRecoverShards(t *testing.T) {
-	cfg := Config{PShard: true, Seed: 17, Gate: online.GateConfig{Enabled: false}}
+	cfg := Config{PShard: true, Seed: 17, Gate: stream.GateConfig{Enabled: false}}
 	ds, f := newTestFleet(t, 3, cfg)
 	for i := 0; i < 12; i++ {
 		f.Ingest(ds.Snapshots[i])

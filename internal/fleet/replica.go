@@ -9,8 +9,8 @@ import (
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
 	"fekf/internal/device"
-	"fekf/internal/online"
 	"fekf/internal/optimize"
+	"fekf/internal/stream"
 )
 
 // replica is one member of the fleet: a full model + Kalman filter pair
@@ -26,17 +26,17 @@ type replica struct {
 	dev   *device.Device
 	clock Clock
 	model *deepmd.Model
-	opt   *optimize.FEKF
-	// pshard marks the sharded-covariance fleet mode: the replica's own
-	// FEKF never materializes a full Kalman state (that is the point of
-	// sharding) — the conductor holds the rank's P slabs in Fleet.pstates.
-	pshard bool
+	// opt is the replica's filter.  Its full Kalman state is built at the
+	// replica's first replicated step; under pshard it never is (that is
+	// the point of sharding) — the conductor holds the rank's P slabs in
+	// Fleet.pstates.
+	opt *optimize.FEKF
 
-	queue  *online.Queue
-	replay *online.ReplayBuffer
-	gate   *online.Gate
+	queue  *stream.Queue
+	replay *stream.ReplayBuffer
+	gate   *stream.Gate
 
-	snap  atomic.Pointer[online.ModelSnapshot]
+	snap  atomic.Pointer[stream.ModelSnapshot]
 	alive atomic.Bool
 	// pBytes mirrors the replica's resident covariance bytes (full P
 	// replicated, or the owned slabs under pshard) for the stats readers;
@@ -51,6 +51,7 @@ type replica struct {
 	replayLen atomic.Int64
 	replayWin atomic.Int64
 	replayRes atomic.Int64
+	replayCap atomic.Int64
 	gateEMA   atomic.Uint64
 	routed    atomic.Int64
 }
@@ -64,27 +65,28 @@ func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, cfg Config) (*repli
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %d optimizer: %w", id, err)
 	}
-	// Eager state: NewKalmanState is deterministic (P = I), so replicas
-	// built this way start bit-identical even before the first step, and
-	// the gate has a P diagonal to score against immediately.  In pshard
-	// mode the full state is never built — the conductor allocates only
-	// this replica's row slabs.
-	if !cfg.PShard {
-		ropt.InitState(model)
-	}
+	// The checkpoint leaves Pipeline out (it is bitwise neutral); keep the
+	// prototype's choice rather than the environment default.
+	ropt.Pipeline = opt.Pipeline
+	// No Kalman state yet unless the prototype had one: the full P is
+	// built at the replica's first step (see Fleet.step), so an idle
+	// service holds no covariance.  NewKalmanState is deterministic
+	// (P = I), so lazily-built replicas still start bit-identical.  In
+	// pshard mode the full state is never built — the conductor allocates
+	// only this replica's row slabs.
 	r := &replica{
 		id:     id,
 		dev:    dev,
 		clock:  cfg.Clock,
 		model:  model,
 		opt:    ropt,
-		pshard: cfg.PShard,
-		queue:  online.NewQueue(cfg.QueueSize, cfg.QueuePolicy),
-		replay: online.NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed+int64(id)),
-		gate:   online.NewGate(cfg.Gate),
+		queue:  stream.NewQueue(cfg.QueueSize, cfg.QueuePolicy),
+		replay: stream.NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed+int64(id)),
+		gate:   stream.NewGate(cfg.Gate),
 	}
 	r.alive.Store(true)
 	r.pBytes.Store(ropt.PBytes())
+	r.mirrorReplay()
 	return r, nil
 }
 
@@ -122,10 +124,34 @@ func (f *Fleet) admit(r *replica, s dataset.Snapshot) {
 	}
 	r.replay.Add(s)
 	r.accepted.Add(1)
+	r.mirrorReplay()
+}
+
+// mirrorReplay refreshes the replay-buffer counters Stats reads.
+// Conductor goroutine only.
+func (r *replica) mirrorReplay() {
 	r.replayLen.Store(int64(r.replay.Len()))
 	r.replayWin.Store(int64(r.replay.WindowLen()))
 	r.replayRes.Store(int64(r.replay.ReservoirLen()))
+	r.replayCap.Store(int64(r.replay.Cap()))
 	r.seen.Store(r.replay.Seen())
+}
+
+// restorePrivate installs one replica's checkpointed private state:
+// liveness, stream counters, the replay buffer (its capacities and RNG
+// position included) and the gate.  Conductor goroutine only.
+func (r *replica) restorePrivate(rck *ReplicaCheckpoint, gate stream.GateConfig) {
+	r.alive.Store(rck.Alive)
+	r.accepted.Store(rck.FramesAccepted)
+	r.gatedOut.Store(rck.FramesGatedOut)
+	if rck.Replay != nil {
+		r.replay = stream.RestoreReplay(rck.Replay)
+		r.mirrorReplay()
+	}
+	if rck.Gate != nil {
+		r.gate = stream.RestoreGate(rck.Gate, gate)
+		r.gateEMA.Store(math.Float64bits(r.gate.EMA()))
+	}
 }
 
 // publish swaps in a fresh copy-on-write snapshot of the replica's model,
@@ -137,7 +163,7 @@ func (r *replica) publish(step int64) {
 	if r.clock != nil {
 		now = r.clock.Now()
 	}
-	r.snap.Store(&online.ModelSnapshot{
+	r.snap.Store(&stream.ModelSnapshot{
 		Model:     r.model.Clone(),
 		Step:      step,
 		Lambda:    r.opt.Lambda(),
@@ -157,11 +183,10 @@ func (r *replica) restoreShared(modelBytes []byte, opt *optimize.FEKFCheckpoint)
 	if err != nil {
 		return fmt.Errorf("fleet: replica %d optimizer: %w", r.id, err)
 	}
-	// In pshard mode the checkpoint carries no Kalman state (P lives in
-	// the conductor's shard states) and none is materialized here.
-	if !r.pshard {
-		ropt.InitState(m)
-	}
+	// A checkpoint taken before the first step carries no Kalman state, and
+	// under pshard none ever (P lives in the conductor's shard states);
+	// either way nothing is materialized here.
+	ropt.Pipeline = r.opt.Pipeline
 	r.model, r.opt = m, ropt
 	return nil
 }

@@ -3,7 +3,7 @@ package fleet
 import (
 	"sync/atomic"
 
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // Router is the predict tier in front of the fleet: it load-balances
@@ -21,7 +21,7 @@ type Router struct {
 // no replica passes the health check (all dead, or none published yet) it
 // falls back to the freshest snapshot ever published — availability over
 // freshness — and returns nil only before the fleet ever published.
-func (rt *Router) Snapshot() *online.ModelSnapshot {
+func (rt *Router) Snapshot() *stream.ModelSnapshot {
 	reps := rt.f.reps
 	n := len(reps)
 	if n == 0 {
@@ -46,8 +46,8 @@ func (rt *Router) Snapshot() *online.ModelSnapshot {
 
 // freshest returns the most recently published snapshot across all
 // replicas, dead or alive, or nil when nothing was ever published.
-func (rt *Router) freshest() *online.ModelSnapshot {
-	var best *online.ModelSnapshot
+func (rt *Router) freshest() *stream.ModelSnapshot {
+	var best *stream.ModelSnapshot
 	for _, r := range rt.f.reps {
 		if s := r.snap.Load(); s != nil {
 			if best == nil || s.Published.After(best.Published) {

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // routerFleet builds a bare fleet shell whose replica health and snapshot
@@ -18,7 +18,7 @@ func routerFleet(alive []bool, published []int64) *Fleet {
 		r := &replica{id: i}
 		r.alive.Store(alive[i])
 		if published[i] > 0 {
-			r.snap.Store(&online.ModelSnapshot{
+			r.snap.Store(&stream.ModelSnapshot{
 				Step:      published[i],
 				Published: base.Add(time.Duration(published[i]) * time.Second),
 			})

@@ -8,7 +8,7 @@ import (
 
 	"fekf/internal/cluster"
 	"fekf/internal/cluster/tcptransport"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // Satellite 1 regression: the router rotation index must survive uint64
@@ -16,7 +16,7 @@ import (
 // conversion, so a wrapped counter produced a negative start index and
 // Snapshot panicked on reps[-k].
 func TestRouterSnapshotSurvivesWraparound(t *testing.T) {
-	_, f := newTestFleet(t, 3, Config{Seed: 5, Gate: online.GateConfig{Enabled: false}})
+	_, f := newTestFleet(t, 3, Config{Seed: 5, Gate: stream.GateConfig{Enabled: false}})
 	step := f.steps.Load()
 	for _, r := range f.reps {
 		r.publish(step)
@@ -54,7 +54,7 @@ func fleetWeights(f *Fleet) []float64 {
 func TestFleetBitwiseChanVsTCP(t *testing.T) {
 	run := func(transport string) ([]float64, float64) {
 		ds, f := newTestFleet(t, 3, Config{
-			Seed: 11, Gate: online.GateConfig{Enabled: false}, Transport: transport,
+			Seed: 11, Gate: stream.GateConfig{Enabled: false}, Transport: transport,
 		})
 		for i := 0; i < 12; i++ {
 			if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
@@ -104,7 +104,7 @@ func TestFleetBitwiseChanVsTCP(t *testing.T) {
 // nonzero reconnect counters.
 func TestFleetTCPReconnectMidStep(t *testing.T) {
 	rings := 0
-	cfg := Config{Seed: 11, Gate: online.GateConfig{Enabled: false}}
+	cfg := Config{Seed: 11, Gate: stream.GateConfig{Enabled: false}}
 	cfg.RingFactory = func(size int) (*cluster.Ring, error) {
 		rings++
 		g, err := tcptransport.NewLoopbackGroup(size, tcptransport.Options{RingID: "cut-test"})
@@ -148,7 +148,7 @@ func TestFleetTCPReconnectMidStep(t *testing.T) {
 // failure.
 func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
 	rings := 0
-	cfg := Config{Seed: 21, Gate: online.GateConfig{Enabled: false}}
+	cfg := Config{Seed: 21, Gate: stream.GateConfig{Enabled: false}}
 	cfg.RingFactory = func(size int) (*cluster.Ring, error) {
 		rings++
 		g, err := tcptransport.NewLoopbackGroup(size, tcptransport.Options{RingID: "sever-test"})

@@ -77,8 +77,13 @@ func DecodeFrame(r io.Reader) (seq uint64, payload []byte, err error) {
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read through a limit rather than allocating n up front: a flipped
+	// length byte must not cost a 1 GiB buffer for a short file.
+	payload, err = io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(payload)) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated payload (%d of %d bytes): %v", ErrCorrupt, len(payload), n, err)
 	}
 	crc := crc32.Update(0, crcTable, hdr[8:24])

@@ -1,31 +1,15 @@
-// Package online is the streaming-training subsystem the paper's title
-// points at: a long-running trainer that ingests labelled frames while an
-// MD simulation (or any producer) generates them, trains the DeePMD model
-// continuously with the FEKF optimizer, and publishes copy-on-write model
-// snapshots that concurrent prediction readers consume without ever
-// blocking — or being blocked by — training.
+// Package online is the single online trainer of the paper's title: a
+// long-running service that ingests labelled frames while an MD simulation
+// (or any producer) generates them, trains the DeePMD model continuously
+// with the FEKF optimizer, and publishes copy-on-write model snapshots
+// that prediction readers consume without blocking training.
 //
-// The dataflow is
-//
-//	producer ──► Queue (bounded, backpressure/drop policies)
-//	                │ trainer goroutine
-//	                ▼
-//	            Gate (ALKPU-style uncertainty score against diag(P))
-//	                │ accepted frames
-//	                ▼
-//	            ReplayBuffer (FIFO window + reservoir over the stream)
-//	                │ minibatches
-//	                ▼
-//	            FEKF.Step via the shared train.Stepper
-//	                │ every SnapshotEvery steps
-//	                ▼
-//	            atomic snapshot pointer ──► readers (internal/serve)
-//
-// All mutable training state — the model weights, the Kalman P, the gate
-// EMA and the replay buffer — is owned by the single trainer goroutine;
-// everything crossing the boundary is either a channel hand-off (frames),
-// an immutable published clone (snapshots) or an atomic counter (stats).
-// Periodic checkpoints capture the model, the full Kalman state and the
-// replay/gate state so a restarted trainer resumes the λ schedule and P
-// bitwise.
+// A single trainer is a fleet of one: Trainer wraps a one-replica
+// fleet.Fleet, which owns the loop, gate admission, the step, snapshot
+// publication, the self-healing guard and the checkpoint format.  The
+// library pieces it streams frames through — queue, gate, replay buffer,
+// frame validation — live in internal/stream.  This package only narrows
+// the fleet to the single-trainer surface: one replica, no autoscaling,
+// the fekf_train_* metric names, and no per-replica fleet row in
+// /v1/stats.
 package online

@@ -1,39 +1,61 @@
 package online
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"fekf/internal/obs"
+	"fekf/internal/optimize"
 )
 
-// benchStep measures one trainer step over a warm replay buffer; the cfg
-// difference between the two benchmarks below is exactly the observability
-// wiring, so comparing them bounds the instrumentation overhead (the
-// bench-obs Makefile target asserts < 2%).
-func benchStep(b *testing.B, cfg TrainerConfig) {
-	ds, m, opt := onlineSetup(b)
+// runSteps starts a trainer over a warm replay buffer — eight frames queued
+// before Start, TrainIdle keeping it stepping — calls started just before
+// Start and done once the trainer has taken n steps, then stops it.  The
+// cfg difference between the two benchmarks below is exactly the
+// observability wiring, so comparing them bounds the instrumentation
+// overhead (the bench-obs Makefile target asserts < 2%).
+func runSteps(tb testing.TB, cfg TrainerConfig, n int64, started, done func()) *Trainer {
+	ds, m, opt := onlineSetup(tb)
 	cfg.BatchSize = 2
 	cfg.MinFrames = 2
 	cfg.SnapshotEvery = 8
 	cfg.Seed = 9
 	cfg.Gate = GateConfig{Enabled: false}
+	cfg.TrainIdle = true
+	reached := make(chan struct{})
+	cfg.OnStep = func(step int64, _ optimize.StepInfo) {
+		if step == n {
+			close(reached)
+		}
+	}
 	tr, err := NewTrainer(m, opt, ds, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		tr.admit(ds.Snapshots[i])
+		if _, err := tr.Ingest(ds.Snapshots[i]); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.step()
+	started()
+	tr.Start()
+	<-reached
+	done()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := tr.Stop(ctx); err != nil {
+		tb.Fatal(err)
 	}
-	b.StopTimer()
 	if le := tr.Stats().LastError; le != "" {
-		b.Fatalf("trainer errored: %s", le)
+		tb.Fatalf("trainer errored: %s", le)
 	}
+	return tr
+}
+
+func benchStep(b *testing.B, cfg TrainerConfig) {
+	b.ReportAllocs()
+	runSteps(b, cfg, int64(b.N), b.ResetTimer, b.StopTimer)
 }
 
 func BenchmarkTrainStepBare(b *testing.B) {
@@ -58,38 +80,29 @@ func BenchmarkTrainStepInstrumented(b *testing.B) {
 func TestInstrumentationOverheadBudget(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(128)
-	ds, m, opt := onlineSetup(t)
-	cfg := TrainerConfig{
-		BatchSize: 2, MinFrames: 2, SnapshotEvery: 8, Seed: 9,
-		Gate:    GateConfig{Enabled: false},
-		Metrics: NewMetrics(reg),
-		Trace:   tracer,
-	}
-	tr, err := NewTrainer(m, opt, ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		tr.admit(ds.Snapshots[i])
-	}
+	cfg := TrainerConfig{Metrics: NewMetrics(reg), Trace: tracer}
 	const steps = 10
-	for i := 0; i < steps; i++ {
-		tr.step()
-	}
-	if le := tr.Stats().LastError; le != "" {
-		t.Fatalf("trainer errored: %s", le)
-	}
+	runSteps(t, cfg, steps, func() {}, func() {})
 	h := cfg.Metrics.StepSeconds
 	stepMean := h.Sum() / float64(h.Count())
 
-	// One step records ~6 spans plus two histogram observations; measure
-	// double that to stay conservative.
+	// Measure twice the spans of the busiest recorded step plus four
+	// histogram observations, to stay conservative.
+	spans := 0
+	for _, st := range tracer.Last(0) {
+		if len(st.Spans) > spans {
+			spans = len(st.Spans)
+		}
+	}
+	if spans == 0 {
+		t.Fatal("the tracer recorded no spans")
+	}
 	const iters = 2000
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		rec := tracer.Begin()
 		t0 := rec.StartTime()
-		for s := 0; s < 12; s++ {
+		for s := 0; s < 2*spans; s++ {
 			rec.Span(-1, "bench", t0, time.Microsecond)
 		}
 		rec.End(int64(i))
@@ -103,5 +116,5 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	if instrPerStep > 0.02*stepMean {
 		t.Errorf("instrumentation costs %.3gs per step, > 2%% of the %.3gs step time", instrPerStep, stepMean)
 	}
-	t.Logf("instrumentation %.3gs/step vs step %.3gs (%.4f%%)", instrPerStep, stepMean, 100*instrPerStep/stepMean)
+	t.Logf("instrumentation (%d spans) %.3gs/step vs step %.3gs (%.4f%%)", 2*spans, instrPerStep, stepMean, 100*instrPerStep/stepMean)
 }

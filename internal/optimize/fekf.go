@@ -80,11 +80,10 @@ func (f *FEKF) PBytes() int64 {
 	return f.ks.PBytes()
 }
 
-// InitState creates the Kalman state ahead of the first Step and returns
-// it (a no-op once initialized).  Fleet replicas initialize their filters
-// eagerly so the distributed step and the shared-state checkpoint can
-// address P before any local Step has run; NewKalmanState is
-// deterministic, so eagerly-built replicas start bit-identical.
+// InitState creates the Kalman state if it does not exist yet and returns
+// it (a no-op once initialized).  Fleet replicas call it at their first
+// distributed step, which bypasses Step; NewKalmanState is deterministic,
+// so replicas built this way start bit-identical.
 func (f *FEKF) InitState(m *deepmd.Model) *KalmanState {
 	if f.ks == nil {
 		f.ks = NewKalmanState(f.KCfg, m.Params.LayerSizes(), m.Dev)

@@ -11,7 +11,7 @@ import (
 	"fekf/internal/dataset"
 	"fekf/internal/fleet"
 	"fekf/internal/guard"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // FramePayload is one labelled configuration posted to /v1/frames.
@@ -102,7 +102,7 @@ type HealthResponse struct {
 // server-side serving counters, and — when the backend is a fleet — the
 // per-replica fleet view (health, queue depth, drift, snapshot age).
 type StatsResponse struct {
-	online.Stats
+	stream.Stats
 	PredictRequests int64        `json:"predict_requests"`
 	PredictBatches  int64        `json:"predict_batches"`
 	FrameRequests   int64        `json:"frame_requests"`

@@ -9,7 +9,7 @@ import (
 
 	"fekf/internal/deepmd"
 	"fekf/internal/md"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // ErrStopped is returned for predictions submitted after Batcher.Stop.
@@ -42,7 +42,7 @@ type jobResult struct {
 // paper's aggregation-before-computing — while a lone request pays only
 // the window latency.
 type Batcher struct {
-	snap     func() *online.ModelSnapshot
+	snap     func() *stream.ModelSnapshot
 	maxBatch int
 	window   time.Duration
 
@@ -57,7 +57,7 @@ type Batcher struct {
 
 // NewBatcher builds a batcher reading snapshots from snap, with workers
 // parallel batch executors (default 1).
-func NewBatcher(snap func() *online.ModelSnapshot, maxBatch int, window time.Duration, workers int) *Batcher {
+func NewBatcher(snap func() *stream.ModelSnapshot, maxBatch int, window time.Duration, workers int) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 16
 	}

@@ -9,7 +9,7 @@ import (
 	"fekf/internal/fleet"
 	"fekf/internal/guard"
 	"fekf/internal/obs"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
 // maxRankGauges caps how many per-rank gauge children the collector
@@ -85,7 +85,7 @@ type backendCollector struct {
 	pShards *obs.GaugeVec
 
 	mu  sync.Mutex
-	st  online.Stats
+	st  stream.Stats
 	fst fleet.Stats
 }
 
@@ -123,7 +123,7 @@ func (c *backendCollector) collect() {
 }
 
 // stat reads one trainer-stats field from the cached snapshot.
-func (c *backendCollector) stat(f func(online.Stats) float64) func() float64 {
+func (c *backendCollector) stat(f func(stream.Stats) float64) func() float64 {
 	return func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -164,49 +164,49 @@ func registerBackendMetrics(reg *obs.Registry, be Backend) {
 
 	reg.CounterFunc("fekf_train_steps_total",
 		"Optimizer steps completed.",
-		c.stat(func(s online.Stats) float64 { return float64(s.Steps) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.Steps) }))
 	reg.CounterFunc("fekf_kalman_updates_total",
 		"Kalman measurement updates applied (energy + force groups per step).",
-		c.stat(func(s online.Stats) float64 { return float64(s.KalmanUpdates) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.KalmanUpdates) }))
 	reg.GaugeFunc("fekf_lambda",
 		"Current Kalman forgetting factor.",
-		c.stat(func(s online.Stats) float64 { return s.Lambda }))
+		c.stat(func(s stream.Stats) float64 { return s.Lambda }))
 	reg.GaugeFunc("fekf_ingest_queue_depth",
 		"Frames buffered in the ingest queue(s).",
-		c.stat(func(s online.Stats) float64 { return float64(s.QueueDepth) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.QueueDepth) }))
 	reg.GaugeFunc("fekf_ingest_queue_occupancy",
 		"Filled fraction of the ingest queue capacity.",
-		c.stat(func(s online.Stats) float64 { return s.QueueOccupancy }))
+		c.stat(func(s stream.Stats) float64 { return s.QueueOccupancy }))
 	reg.CounterFunc("fekf_frames_queued_total",
 		"Frames accepted into the ingest queue(s).",
-		c.stat(func(s online.Stats) float64 { return float64(s.FramesQueued) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.FramesQueued) }))
 	reg.CounterFunc("fekf_frames_dropped_total",
 		"Frames dropped by full-queue policy.",
-		c.stat(func(s online.Stats) float64 { return float64(s.FramesDropped) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.FramesDropped) }))
 	reg.CounterFunc("fekf_frames_accepted_total",
 		"Frames admitted by the uncertainty gate into replay.",
-		c.stat(func(s online.Stats) float64 { return float64(s.FramesAccepted) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.FramesAccepted) }))
 	reg.CounterFunc("fekf_frames_gated_out_total",
 		"Frames rejected by the uncertainty gate.",
-		c.stat(func(s online.Stats) float64 { return float64(s.FramesGatedOut) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.FramesGatedOut) }))
 	reg.GaugeFunc("fekf_gate_accept_ratio",
 		"Fraction of gate-scored frames admitted.",
-		c.stat(func(s online.Stats) float64 { return s.GateAcceptRate }))
+		c.stat(func(s stream.Stats) float64 { return s.GateAcceptRate }))
 	reg.GaugeFunc("fekf_gate_ema",
 		"Gate uncertainty score EMA.",
-		c.stat(func(s online.Stats) float64 { return s.GateEMA }))
+		c.stat(func(s stream.Stats) float64 { return s.GateEMA }))
 	reg.GaugeFunc("fekf_replay_frames",
 		"Frames held in the replay buffer(s).",
-		c.stat(func(s online.Stats) float64 { return float64(s.ReplaySize) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.ReplaySize) }))
 	reg.GaugeFunc("fekf_replay_occupancy",
 		"Filled fraction of the replay capacity.",
-		c.stat(func(s online.Stats) float64 { return s.ReplayOccupancy }))
+		c.stat(func(s stream.Stats) float64 { return s.ReplayOccupancy }))
 	reg.GaugeFunc("fekf_snapshot_age_seconds",
 		"Age of the freshest published model snapshot.",
-		c.stat(func(s online.Stats) float64 { return float64(s.SnapshotAgeMs) / 1000 }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.SnapshotAgeMs) / 1000 }))
 	reg.CounterFunc("fekf_checkpoints_total",
 		"Checkpoints written.",
-		c.stat(func(s online.Stats) float64 { return float64(s.Checkpoints) }))
+		c.stat(func(s stream.Stats) float64 { return float64(s.Checkpoints) }))
 
 	// Self-healing guard ledger (all zero when no guard is configured).
 	reg.CounterFunc("fekf_guard_divergence_total",
@@ -247,7 +247,7 @@ func registerBackendMetrics(reg *obs.Registry, be Backend) {
 		// modes (replicated, sharded, single host).
 		reg.GaugeFunc("fekf_p_resident_bytes",
 			"Resident Kalman covariance (P) bytes.",
-			c.stat(func(s online.Stats) float64 { return float64(s.PResidentBytes) }))
+			c.stat(func(s stream.Stats) float64 { return float64(s.PResidentBytes) }))
 		return
 	}
 	c.pBytes = reg.Gauge("fekf_p_resident_bytes",

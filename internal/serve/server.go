@@ -15,23 +15,23 @@ import (
 	"fekf/internal/fleet"
 	"fekf/internal/md"
 	"fekf/internal/obs"
-	"fekf/internal/online"
+	"fekf/internal/stream"
 )
 
-// Backend is the training engine behind the HTTP API — satisfied by both
-// the single *online.Trainer and the replicated *fleet.Fleet, so the same
-// server fronts either.
+// Backend is the training engine behind the HTTP API — satisfied by
+// *fleet.Fleet at any replica count and by *online.Trainer, the fleet of
+// one that leaves out the per-replica FleetStats row.
 type Backend interface {
 	// Ingest validates and enqueues one labelled frame (false without
 	// error means dropped by queue policy).
 	Ingest(s dataset.Snapshot) (bool, error)
 	// Snapshot returns the latest published model snapshot (never nil
 	// after the backend has started).
-	Snapshot() *online.ModelSnapshot
+	Snapshot() *stream.ModelSnapshot
 	// Species returns the species table requests must use.
 	Species() []md.Species
 	// Stats returns the aggregated trainer-stats view.
-	Stats() online.Stats
+	Stats() stream.Stats
 	// Stop shuts the backend down gracefully.
 	Stop(ctx context.Context) error
 }
@@ -254,7 +254,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Frames {
 		ok, err := s.be.Ingest(req.Frames[i].Snapshot())
 		switch {
-		case errors.Is(err, online.ErrClosed):
+		case errors.Is(err, stream.ErrClosed):
 			writeErr(w, http.StatusServiceUnavailable, "trainer is shutting down")
 			return
 		case errors.Is(err, fleet.ErrNoReplica):
